@@ -7,7 +7,8 @@ signed-graph files start with a header line "n m" followed by m lines
 rationals serialize as "p/q" (or "p"), never as floating point.
 
 Exit codes: 0 success, 1 domain error (e.g. least eigenvalue below -2,
-vectors of the wrong norm), 2 parse or usage error.
+vectors of the wrong norm), 2 parse or usage error, 3 internal error (a
+failed invariant check: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -20,19 +21,18 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .embed import embed as embed_graph
-from .embed import verify_certificate
 from .errors import InvariantError
 from .roots import (
     AmbientSpace,
     Root,
     RootSet,
+    _analyze,
     ambient_root,
-    classify,
     closure,
     components,
     find_base,
     gen,
-    isometry_to_canonical,
+    graph_of,
     parse_type,
 )
 from .spectra import SignedGraph, smith_classify
@@ -44,12 +44,9 @@ class ParseError(ValueError):
     """Malformed input text or bad usage; maps to exit code 2."""
 
 
-def _fmt_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _fmt_vec(coords: Sequence[Fraction]) -> str:
-    return " ".join(_fmt_frac(x) for x in coords)
+    # str of a Fraction is already "p" or "p/q"
+    return " ".join(map(str, coords))
 
 
 def _meaningful_lines(text: str) -> list[tuple[int, str]]:
@@ -89,7 +86,7 @@ def root_set_from_text(text: str) -> RootSet:
         r = ambient_root(space, vec)
         n2 = r.norm2()
         if n2 != 2:
-            raise ValueError(f"line {lineno}: vector has squared norm {_fmt_frac(n2)}, expected 2")
+            raise ValueError(f"line {lineno}: vector has squared norm {n2}, expected 2")
         roots.append((lineno, r))
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
@@ -97,7 +94,7 @@ def root_set_from_text(text: str) -> RootSet:
             lj, y = roots[j]
             t = x.dot(y)
             if t.denominator != 1:
-                raise ValueError(f"lines {li} and {lj}: non-integer inner product {_fmt_frac(t)}")
+                raise ValueError(f"lines {li} and {lj}: non-integer inner product {t}")
     return RootSet.of(space, [r for _, r in roots], validate=False)
 
 
@@ -153,15 +150,12 @@ def _vector_file_text(s: RootSet) -> str:
     return "".join(_fmt_vec(r.coords) + "\n" for r in s)
 
 
-def _dot_diagram(base: RootSet, name: str) -> str:
-    roots = base.roots
+def _dot_diagram(base: Sequence[Root], name: str) -> str:
     lines = [f"graph {name} {{"]
-    for i, r in enumerate(roots):
+    for i, r in enumerate(base):
         lines.append(f'  v{i} [label="{_fmt_vec(r.coords)}"];')
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if roots[i].dot(roots[j]) != 0:
-                lines.append(f"  v{i} -- v{j};")
+    for i, j, _ in graph_of(base).edges:
+        lines.append(f"  v{i} -- v{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -192,19 +186,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     phi = closure(s)
     entries = []
     for comp in components(phi):
-        base = find_base(comp)
-        t = classify(comp)
+        a = _analyze(comp, isometry=args.isometry)
         entry = {
-            "type": t.label,
-            "rank": len(base),
+            "type": a.type.label,
+            "rank": len(a.base),
             "root_count": len(comp),
-            "base": [[_fmt_frac(x) for x in r.coords] for r in base],
+            "base": [[str(x) for x in r.coords] for r in a.base],
         }
         if args.isometry:
-            _, iso = isometry_to_canonical(comp)
-            entry["isometry"] = [[_fmt_frac(x) for x in row] for row in iso.matrix]
+            entry["isometry"] = [[str(x) for x in row] for row in a.isometry.matrix]
         if args.diagram:
-            entry["diagram"] = _dot_diagram(base, f"base_{len(entries) + 1}")
+            entry["diagram"] = _dot_diagram(a.base, f"base_{len(entries) + 1}")
         entries.append(entry)
     doc = {"components": entries}
     if args.json:
@@ -228,10 +220,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = parse_graph_file(_read_input(args.input))
-    cert = embed_graph(g)
-    if not verify_certificate(g, cert):
-        raise InvariantError("certificate failed independent verification")
-    vectors = [[_fmt_frac(x) for x in v] for v in cert.vectors]
+    cert = embed_graph(g)  # verifies the certificate before returning it
+    vectors = [[str(x) for x in v] for v in cert.vectors]
     doc = {
         "intrinsic_type": cert.intrinsic_type.label,
         "ambient_type": cert.ambient_type.label,
@@ -327,6 +317,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
+    except InvariantError as e:
+        print(f"error: internal error: {e}", file=sys.stderr)
+        return 3
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvariantError
 from .exactlin import Definiteness, RatMatrix, definiteness
 from .roots import (
     DynkinType,
@@ -84,7 +85,8 @@ def embed(g: SignedGraph) -> EmbeddingCertificate:
         vectors=vectors,
         root_count=len(phi),
     )
-    assert verify_certificate(g, cert), "freshly built certificate failed verification"
+    if not verify_certificate(g, cert):
+        raise InvariantError("freshly built certificate failed verification")
     return cert
 
 

@@ -81,20 +81,6 @@ class RatMatrix:
             [[sum(row[k] * col[k] for k in range(self.cols)) for col in cols] for row in self.entries]
         )
 
-    def sub(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return RatMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def scale(self, factor) -> "RatMatrix":
-        f = Q(factor)
-        return RatMatrix([[f * x for x in row] for row in self.entries])
-
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals, exact."""

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvariantError
 from .exactlin import (
@@ -170,12 +170,8 @@ class Root:
 
     def __repr__(self) -> str:
         if self.is_ambient:
-            return f"Root({' '.join(_fmt(Q(v, self.den)) for v in self.nums)})"
+            return f"Root({' '.join(str(Q(v, self.den)) for v in self.nums)})"
         return f"Root(coeffs={list(self.nums)})"
-
-
-def _fmt(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _make_ambient_normalized(space: AmbientSpace, nums: tuple[int, ...], den: int) -> Root:
@@ -487,23 +483,16 @@ def _e8_roots() -> list[Root]:
     return out
 
 
-def graph_of(s: RootSet) -> SignedGraph:
-    """Simple graph on the roots: edge iff the inner product is nonzero."""
-    roots = s.roots
-    n = len(roots)
-    if n == 0:
-        raise ValueError("graph of an empty root set")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _idot(roots[i], roots[j]) != 0:
-                edges.append((i, j, 1))
-    return SignedGraph(n, edges)
+def graph_of(s: Union[RootSet, Sequence[Root]]) -> SignedGraph:
+    """Simple graph on the roots (a root set, or any sequence of roots in
+    that order): edge iff the inner product is nonzero."""
+    g = signed_graph_of(s)
+    return SignedGraph(g.n, [(u, v, 1) for u, v, _ in g.edges])
 
 
-def signed_graph_of(s: RootSet) -> SignedGraph:
+def signed_graph_of(s: Union[RootSet, Sequence[Root]]) -> SignedGraph:
     """Variant of graph_of labelling each edge with the inner product's sign."""
-    roots = s.roots
+    roots = tuple(s)
     n = len(roots)
     if n == 0:
         raise ValueError("graph of an empty root set")
@@ -596,10 +585,10 @@ def _root_system_check(s: RootSet) -> bool:
                     return False
                 if _reflect(y, x, t).key not in keys:
                     return False
-            else:
+            elif t != -2:
                 # Cauchy-Schwarz: |t| = 2 forces y = -x (same key is deduped),
                 # and those reflections land on existing negations.
-                assert t == -2, f"inner product {t} violates the trichotomy"
+                raise InvariantError(f"inner product {t} violates the trichotomy")
     return True
 
 
@@ -636,8 +625,8 @@ def closure(s: RootSet) -> RootSet:
             if t == 1 or t == -1:
                 add2(_reflect(x, y, t))
                 add2(_reflect(y, x, t))
-            else:
-                assert -2 <= t <= 2, f"inner product {t} out of range"
+            elif t > 2 or t < -2:
+                raise InvariantError(f"inner product {t} out of range")
         i += 1
     ordered = sorted(known.values(), key=Root.sort_key)
     return RootSet._assembled(s.space, ordered, flag=True)
@@ -648,13 +637,32 @@ def _require_root_system(s: RootSet) -> None:
         raise ValueError("input is not a simply laced root system")
 
 
+class _Analysis(NamedTuple):
+    """What one pass over an irreducible root system yields."""
+
+    base: tuple[Root, ...]  # sorted by Root.sort_key
+    type: DynkinType
+    isometry: Optional[Isometry]  # built only on request
+
+
+def _analyze(comp: RootSet, isometry: bool = False) -> _Analysis:
+    """The one analysis of a checked irreducible root system.
+
+    Extracts a base once, reads the type off that base's Dynkin graph and,
+    only when asked, builds the isometry onto gen(type) from the same base.
+    find_base, classify and isometry_to_canonical are views of it.
+    """
+    base = _component_base(comp)
+    t = _base_type(base)
+    iso = _isometry(comp, base, t) if isometry else None
+    return _Analysis(tuple(sorted(base, key=Root.sort_key)), t, iso)
+
+
 def find_base(phi: RootSet) -> RootSet:
     """A base of the root system: obtuse, one indecomposable piece per
     component, generating phi over the integers (so closure(base) == phi)."""
     _require_root_system(phi)
-    out: list[Root] = []
-    for comp in components(phi):
-        out.extend(_component_base(comp))
+    out = [r for comp in components(phi) for r in _analyze(comp).base]
     return RootSet._assembled(phi.space, sorted(out, key=Root.sort_key))
 
 
@@ -766,7 +774,8 @@ def _deepest_descent(s: list[Root], p: Root) -> Root:
         if qualified:
             best = min(qualified, key=Root.sort_key)
         frontier = nxt
-    assert all(_idot(best, x) in (-1, 0) for x in s), "descent left a positive inner product"
+    if any(_idot(best, x) not in (-1, 0) for x in s):
+        raise InvariantError("descent left a positive inner product")
     return best
 
 
@@ -791,30 +800,15 @@ def _affine_exchange(u: list[Root], gram: list[list[int]]) -> list[Root]:
         raise InvariantError(f"affine marks are not positive with minimum 1: {alpha}")
     if alpha[-1] == 1:
         raise InvariantError("the freshly attached root cannot carry mark 1")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram[i][j] == -1:
-                adj[i].add(j)
-                adj[j].add(i)
+    adj = graph_of(u).neighbor_sets()
     for idx in range(n - 1):
         if alpha[idx] == 1 and connected_without(adj, idx):
             return u[:idx] + u[idx + 1 :]
     raise InvariantError("no marks-1 vertex keeps the graph connected")
 
 
-def _graph_of_roots(roots: Sequence[Root]) -> SignedGraph:
-    n = len(roots)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _idot(roots[i], roots[j]) != 0:
-                edges.append((i, j, 1))
-    return SignedGraph(n, edges)
-
-
 def _base_type(base: Sequence[Root]) -> DynkinType:
-    st = smith_classify(_graph_of_roots(base))
+    st = smith_classify(graph_of(base))
     if st.kind != "finite":
         raise InvariantError(f"base graph classified as {st.label}")
     return DynkinType(st.family, st.rank)
@@ -824,7 +818,7 @@ def classify(phi: RootSet) -> Union[DynkinType, ReducibleType]:
     """Type of a root system: a DynkinType when irreducible, otherwise the
     multiset of component types."""
     _require_root_system(phi)
-    types = sorted(_base_type(_component_base(c)) for c in components(phi))
+    types = sorted(_analyze(c).type for c in components(phi))
     if len(types) == 1:
         return types[0]
     return ReducibleType(tuple(types))
@@ -842,16 +836,20 @@ class Isometry:
     matrix: tuple[tuple[Fraction, ...], ...]
     domain: Space
     codomain: AmbientSpace
+    # the matrix as integer rows over one positive denominator, for apply
+    _scaled: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        den = math.lcm(*(x.denominator for row in self.matrix for x in row))
+        rows = tuple(tuple(int(x * den) for x in row) for row in self.matrix)
+        object.__setattr__(self, "_scaled", (rows, den))
 
     def apply(self, r: Root) -> Root:
         if r.space is not self.domain and r.space != self.domain:
             raise ValueError("root does not belong to the isometry's domain")
+        rows, den = self._scaled
         vec = r.nums
-        d = r.den
-        out = [sum(map(mul, row, vec)) for row in self.matrix]
-        if d == 1:
-            return ambient_root(self.codomain, out)
-        return ambient_root(self.codomain, [Q(x, d) for x in out])
+        return _make_ambient(self.codomain, [sum(map(mul, row, vec)) for row in rows], den * r.den)
 
     def as_rat_matrix(self) -> RatMatrix:
         return RatMatrix(self.matrix)
@@ -868,12 +866,7 @@ def _canonical_base_order(base: Sequence[Root]) -> list[Root]:
     n = len(base)
     if n == 1:
         return list(base)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _idot(base[i], base[j]) != 0:
-                adj[i].add(j)
-                adj[j].add(i)
+    adj = graph_of(base).neighbor_sets()
     degs = [len(a) for a in adj]
     if max(degs) <= 2:
         ends = [i for i in range(n) if degs[i] <= 1]
@@ -919,27 +912,21 @@ def isometry_to_canonical(omega: RootSet) -> tuple[DynkinType, Isometry]:
     _require_root_system(omega)
     if len(components(omega)) != 1:
         raise ValueError("isometry requires an irreducible root system")
-    base = _component_base(omega)
-    t = _base_type(base)
+    a = _analyze(omega, isometry=True)
+    return a.type, a.isometry
+
+
+def _isometry(omega: RootSet, base: Sequence[Root], t: DynkinType) -> Isometry:
+    """The map carrying omega onto gen(t) that sends a base of omega, in
+    canonical order, to the canonically ordered base of gen(t)."""
     ordered = _canonical_base_order(base)
     target = _canonical_ordered_base(t)
     m = len(ordered)
     gram = [[_idot(a, b) for b in ordered] for a in ordered]
-    tgram = [[_idot(a, b) for b in target] for a in target]
-    if gram != tgram:
+    if gram != [[_idot(a, b) for b in target] for a in target]:
         raise InvariantError("canonically ordered bases have different Gram matrices")
-    iso = _build_isometry(omega.space, ordered, target, t)
-    expected = gen(t).keys()
-    mapped = {iso.apply(r).key for r in omega.roots}
-    if mapped != expected:
-        raise InvariantError("mapped root system does not equal the canonical model")
-    return t, iso
-
-
-def _build_isometry(domain: Space, ordered: list[Root], target: list[Root], t: DynkinType) -> Isometry:
-    m = len(ordered)
-    gram = [[_idot(a, b) for b in ordered] for a in ordered]
     inv_num, inv_den = integer_inverse(gram)
+    domain = omega.space
     if type(domain) is FormSpace:
         in_dim = domain.n
         b_rows = [[Q(v) for v in r.dvec] for r in ordered]
@@ -957,7 +944,10 @@ def _build_isometry(domain: Space, ordered: list[Root], target: list[Root], t: D
         tuple(sum(y_cols[a][i] * coeff_rows[a][k] for a in range(m)) for k in range(in_dim))
         for i in range(codomain.dim)
     )
-    return Isometry(matrix=matrix, domain=domain, codomain=codomain)
+    iso = Isometry(matrix=matrix, domain=domain, codomain=codomain)
+    if {iso.apply(r).key for r in omega.roots} != gen(t).keys():
+        raise InvariantError("mapped root system does not equal the canonical model")
+    return iso
 
 
 def signed_permute(s: RootSet, perm: Sequence[int], signs: Sequence[int]) -> RootSet:

@@ -223,16 +223,16 @@ def _require_unsigned_connected(g: SignedGraph) -> SignedGraph:
 def smith_classify(g: SignedGraph) -> SmithType:
     """Classify a connected unsigned graph against the eigenvalue-2 boundary.
 
-    The combinatorial decision is cross-validated (in debug mode) against the
-    exact definiteness of 2I - A: finite shapes are positive definite, affine
+    The combinatorial decision is cross-validated against the exact
+    definiteness of 2I - A: finite shapes are positive definite, affine
     shapes positive semidefinite singular, everything else indefinite.
     """
     _require_unsigned_connected(g)
     kind, family, rk = _recognize(g)
     marks = _affine_marks_raw(g) if kind == "affine" else None
-    result = SmithType(kind, family, rk, marks)
-    assert _definiteness_matches(g, kind), f"shape/definiteness disagreement for {g!r}"
-    return result
+    if not _definiteness_matches(g, kind):
+        raise InvariantError(f"shape/definiteness disagreement for {g!r}")
+    return SmithType(kind, family, rk, marks)
 
 
 def _affine_marks_raw(g: SignedGraph) -> tuple[int, ...]:

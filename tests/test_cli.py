@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -320,3 +321,114 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == "-1 1\n1 -1\n"
+
+
+# --- one analysis per component, one certificate check, internal errors -------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_classify_extracts_one_base_per_component(capsys, monkeypatch):
+    import laced.roots
+
+    f = str(GOLDEN / "a2_d4_e6_roots.vec")  # three components
+    assert main(["classify", f, "--isometry"]) == 0  # warms the canonical-base cache
+    calls = []
+    inner = laced.roots._component_base
+
+    def counted(comp):
+        calls.append(len(comp))
+        return inner(comp)
+
+    monkeypatch.setattr(laced.roots, "_component_base", counted)
+    assert main(["classify", f, "--isometry"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == [6, 24, 72]
+
+
+def test_embed_verifies_the_certificate_once(capsys, monkeypatch, tmp_path):
+    import laced.cli
+
+    embed_module = importlib.import_module("laced.embed")  # laced.embed is the function
+    calls = []
+    inner = embed_module.verify_certificate
+
+    def counted(g, cert):
+        calls.append(g.n)
+        return inner(g, cert)
+
+    monkeypatch.setattr(embed_module, "verify_certificate", counted)
+    monkeypatch.setattr(laced.cli, "verify_certificate", counted, raising=False)
+    f = tmp_path / "tri.sg"
+    f.write_text(TRIANGLE_NEG)
+    code, out, _ = run_cli(capsys, "embed", str(f))
+    assert code == 0 and "gram check: pass" in out
+    assert calls == [3]
+
+
+def test_internal_error_exits_3(capsys, monkeypatch, tmp_path):
+    import laced.cli
+    from laced.errors import InvariantError
+
+    def broken(g):
+        raise InvariantError("certificate failed verification")
+
+    monkeypatch.setattr(laced.cli, "embed_graph", broken)
+    f = tmp_path / "tri.sg"
+    f.write_text(TRIANGLE_NEG)
+    code, out, err = run_cli(capsys, "embed", str(f))
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal error: certificate failed verification\n"
+
+
+def _run_python(flags, argv, repo, cwd):
+    return subprocess.run(
+        [sys.executable, *flags, *argv],
+        capture_output=True,
+        cwd=cwd,
+        env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+    )
+
+
+def test_optimized_mode_gives_the_same_bytes(tmp_path):
+    # the command list of acceptance criterion 8, with and without -O
+    repo = Path(__file__).resolve().parents[1]
+    vec = tmp_path / "d5.vec"
+    assert main(["gen", "D5", "--output", str(vec)]) == 0
+    graph = tmp_path / "c4.sg"
+    graph.write_text("4 4\n0 1 +\n1 2 +\n2 3 +\n0 3 +\n")
+    commands = [
+        ["gen", "E7"],
+        ["close", str(vec)],
+        ["base", str(vec)],
+        ["classify", str(vec), "--json", "--isometry", "--diagram"],
+        ["smith", str(graph), "--json"],
+        ["embed", str(graph), "--json"],
+    ]
+    for argv in commands:
+        plain = _run_python([], ["-m", "laced.cli", *argv], repo, tmp_path)
+        optimized = _run_python(["-O"], ["-m", "laced.cli", *argv], repo, tmp_path)
+        assert plain.returncode == optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == plain.stdout, argv
+
+
+def test_certificate_check_runs_in_optimized_mode(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    script = (
+        "import importlib, sys\n"
+        "embed_module = importlib.import_module('laced.embed')\n"
+        "from laced.errors import InvariantError\n"
+        "from laced.spectra import SignedGraph\n"
+        "assert False, 'asserts must be stripped here'\n"
+    )
+    probe = (
+        "embed_module.verify_certificate = lambda g, cert: False\n"
+        "try:\n"
+        "    embed_module.embed(SignedGraph(2, [(0, 1, 1)]))\n"
+        "except InvariantError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    proc = _run_python(["-O", "-c"], [script + probe], repo, tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -426,6 +426,24 @@ def test_isometry_preserves_gram_and_fixes_span():
         assert qtq.mul_vec(x.coords) == x.coords
 
 
+def test_isometry_apply_matches_the_rational_matrix():
+    # apply works on integer rows over one denominator; the Fraction matrix
+    # product is the reference, for ambient and for intrinsic domains
+    e6 = signed_permute(gen("E6"), [7, 6, 5, 4, 3, 2, 1, 0], [1, -1, 1, -1, 1, 1, -1, 1])
+    _, iso = isometry_to_canonical(e6)
+    m = iso.as_rat_matrix()
+    for r in e6:
+        assert iso.apply(r).coords == m.mul_vec(r.coords)
+    space = FormSpace([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])  # affine A2: a radical
+    seed = [lattice_root(space, c) for c in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+    phi = closure(RootSet.of(space, seed))
+    t, iso = isometry_to_canonical(phi)
+    assert t == DynkinType("A", 2)
+    m = iso.as_rat_matrix()
+    for r in phi:
+        assert iso.apply(r).coords == m.mul_vec(r.coeffs)
+
+
 def test_isometry_rejects_reducible():
     two = rs([1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1])
     with pytest.raises(ValueError):
