@@ -12,8 +12,10 @@ vertex vector inside D_m or E_8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InvariantError
 from .exactlin import Definiteness, RatMatrix, definiteness
@@ -107,10 +109,14 @@ def verify_certificate(g: SignedGraph, cert: EmbeddingCertificate) -> bool:
     vecs = [tuple(Q(x) for x in v) for v in cert.vectors]
     if any(len(v) != dim for v in vecs):
         return False
+    # v_i = w_i / d_i with integer w_i, so <v_i, v_j> = e_ij iff
+    # <w_i, w_j> = e_ij * d_i * d_j in plain integers
+    dens = [math.lcm(*(x.denominator for x in v)) for v in vecs]
+    nums = [tuple(x.numerator * (d // x.denominator) for x in v) for v, d in zip(vecs, dens)]
     expected = shifted_gram_rows(g, 2)
     for i in range(g.n):
         for j in range(i, g.n):
-            if sum(a * b for a, b in zip(vecs[i], vecs[j])) != expected[i][j]:
+            if sum(map(mul, nums[i], nums[j])) != expected[i][j] * dens[i] * dens[j]:
                 return False
     ambient = gen(t)
     space = ambient.space

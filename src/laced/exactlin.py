@@ -289,32 +289,42 @@ def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
 def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """Inverse of an integer matrix as (numerator grid, positive denominator).
 
-    Raises ValueError when the matrix is singular.
+    Fraction-free Gauss-Jordan elimination in Bareiss form: every row other
+    than the pivot row is updated as (p * row - f * pivot_row) / prev, where
+    the division by the previous pivot is exact.  At the end the left block is
+    d * I and the right block d * inverse, with d = +-det; the result is
+    reduced by the gcd of d and every entry.  Raises ValueError when the
+    matrix is singular.
     """
     n = len(rows)
-    aug = [[Q(x) for x in row] + [Q(1) if j == i else Q(0) for j in range(n)] for i, row in enumerate(rows)]
+    aug = [[int(x) for x in row] + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
     for c in range(n):
         piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
         if piv is None:
             raise ValueError("matrix is singular")
         aug[c], aug[piv] = aug[piv], aug[c]
         prow = aug[c]
-        inv = 1 / prow[c]
-        for j in range(c, 2 * n):
-            prow[j] *= inv
+        p = prow[c]
         for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                row = aug[i]
-                for j in range(c, 2 * n):
-                    row[j] -= f * prow[j]
-    inv_entries = [row[n:] for row in aug]
-    den = 1
-    for row in inv_entries:
+            if i == c:
+                continue
+            row = aug[i]
+            f = row[c]
+            for j in range(c + 1, 2 * n):
+                row[j] = (p * row[j] - f * prow[j]) // prev
+            row[c] = 0
+        prev = p
+    den = prev
+    num = [row[n:] for row in aug]
+    if den < 0:
+        den = -den
+        num = [[-x for x in row] for row in num]
+    g = den
+    for row in num:
         for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    num = [[int(x * den) for x in row] for row in inv_entries]
-    return num, den
+            g = math.gcd(g, x)
+    return [[x // g for x in row] for row in num], den // g
 
 
 def primitive_integer_vector(vec: Sequence) -> tuple[int, ...]:

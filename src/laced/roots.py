@@ -8,8 +8,11 @@ equal when their difference lies in the radical of the form, so the canonical
 key of a vector v is the tuple G v of its inner products with the generators.
 
 The reflection closure is the production algorithm for the set of norm-2
-lattice vectors generated by a seed; the lattice short-vector enumeration in
-``exactlin`` stays an independent oracle for it.
+lattice vectors generated by a seed S.  It is the orbit W(S)·S of the seed
+under its own reflections (s_{w(a)} = w s_a w^-1, so the reflections in the
+roots found add nothing to those in S), grown with |Phi|·|S| sparse inner
+products; the lattice short-vector enumeration in ``exactlin`` stays an
+independent oracle for it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvariantError
@@ -596,38 +599,63 @@ def closure(s: RootSet) -> RootSet:
     """Reflection closure: the smallest superset of S u (-S) closed under
     x -> x - <x,y> y.
 
-    This equals the set of norm-2 vectors of the lattice generated by S; the
-    short-vector enumeration in exactlin cross-checks that equality in tests.
-    Terminates because the closure injects into the finite grid of inner
-    product profiles against the generators.
+    It is the orbit W(S)·S of the seed under the group generated by the
+    seed's own reflections: s_{w(a)} = w s_a w^-1, so reflecting in a root
+    already found adds nothing that the seed's reflections do not give.
+    The orbit is grown breadth first, each root reflected only in the seed
+    roots, and a seed root already in the orbit of the earlier ones is
+    skipped, since its reflection lies in their group.  That costs at most
+    |Phi|·|S| inner products, each a sum over the seed root's nonzero
+    coefficients.  The result equals the set of norm-2 vectors of the
+    lattice generated by S; the short-vector enumeration in exactlin
+    cross-checks that in tests.
     """
     if len(s) == 0:
         raise ValueError("closure requires a nonempty set")
+    intrinsic = type(s.space) is FormSpace
     known: dict = {}
-    order: list[Root] = []
+    queue: list[Root] = []  # one root of each +- pair; its negation is in known
+    gens: list[tuple[Root, tuple]] = []  # (seed root, its nonzero (index, coefficient) pairs)
 
     def add2(r: Root) -> None:
         if r.key not in known:
             known[r.key] = r
-            order.append(r)
+            queue.append(r)
             m = -r
             known[m.key] = m
-            order.append(m)
 
-    for r in s.roots:
-        add2(r)
-    i = 0
-    while i < len(order):
-        x = order[i]
-        for j in range(i):
-            y = order[j]
-            t = _idot(x, y)
-            if t == 1 or t == -1:
-                add2(_reflect(x, y, t))
-                add2(_reflect(y, x, t))
-            elif t > 2 or t < -2:
-                raise InvariantError(f"inner product {t} out of range")
-        i += 1
+    for g in s.roots:
+        if g.key in known:
+            continue
+        closed = len(queue)  # these are closed under the earlier generators
+        add2(g)
+        gens.append((g, tuple((k, c) for k, c in enumerate(g.nums) if c)))
+        i = 0
+        while i < len(queue):
+            x = queue[i]
+            xd = x.dvec
+            for a, support in gens[-1:] if i < closed else gens:
+                # <x, a> = sum over a's support of a.nums[k] * x.dvec[k]
+                t = 0
+                for k, c in support:
+                    t += c * xd[k]
+                dd = x.den * a.den
+                if dd != 1:
+                    t, rem = divmod(t, dd)
+                    if rem:
+                        raise InvariantError("non-integer inner product on the trusted path")
+                if t == 1 or t == -1:
+                    if not intrinsic:
+                        add2(_reflect(x, a, t))
+                        continue
+                    # the key of x - t*a is its dvec: look it up before building the root
+                    op = sub if t == 1 else add
+                    dvec = tuple(map(op, xd, a.dvec))
+                    if dvec not in known:
+                        add2(_make_lattice_raw(x.space, tuple(map(op, x.nums, a.nums)), dvec))
+                elif t > 2 or t < -2:
+                    raise InvariantError(f"inner product {t} out of range")
+            i += 1
     ordered = sorted(known.values(), key=Root.sort_key)
     return RootSet._assembled(s.space, ordered, flag=True)
 

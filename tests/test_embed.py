@@ -123,6 +123,23 @@ def test_verify_rejects_norm_two_vector_outside_ambient_system():
     assert not verify_certificate(SignedGraph(1, []), spoof)
 
 
+def test_verify_rejects_a_half_step_in_an_e8_certificate():
+    # the E8 Dynkin tree with negative edges: A + 2I is the E8 Cartan matrix
+    tree = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)]
+    g = SignedGraph(8, [(u, v, -1) for u, v in tree])
+    cert = embed(g)
+    assert cert.ambient_type == DynkinType("E", 8)
+    assert verify_certificate(g, cert)
+    for i in range(8):
+        for k in range(8):
+            vecs = [list(v) for v in cert.vectors]
+            vecs[i][k] += Q(1, 2)
+            bad = EmbeddingCertificate(
+                cert.intrinsic_type, cert.ambient_type, tuple(map(tuple, vecs)), cert.root_count
+            )
+            assert not verify_certificate(g, bad), (i, k)
+
+
 def test_verify_rejects_bad_shapes():
     g = SignedGraph(1, [])
     cert = embed(g)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -280,6 +281,45 @@ def test_integer_inverse_round_trip():
             for i in range(n)
         ]
         assert prod == [[den if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def fraction_inverse(rows):
+    """Reference: Gauss-Jordan over Fractions, or None when singular."""
+    n = len(rows)
+    aug = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(n):
+            if i != c:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def test_integer_inverse_matches_fraction_elimination():
+    # the result is the inverse over its least common denominator, singular
+    # matrices included
+    rng = random.Random(909)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        lo, hi = rng.choice([(-1, 1), (-3, 3), (-9, 9), (0, 2)])
+        rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+        if n > 2 and rng.random() < 0.2:
+            rows[-1] = [a - b for a, b in zip(rows[0], rows[1])]
+        want = fraction_inverse(rows)
+        if want is None:
+            singular += 1
+            with pytest.raises(ValueError, match="matrix is singular"):
+                integer_inverse(rows)
+            continue
+        den = math.lcm(*(x.denominator for row in want for x in row))
+        assert integer_inverse(rows) == ([[int(x * den) for x in row] for row in want], den)
+    assert singular > 20
 
 
 def test_primitive_integer_vector():

@@ -1,16 +1,23 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+from laced.errors import InvariantError
 from laced.exactlin import Definiteness, RatMatrix, definiteness, short_vectors
 from laced.roots import (
     AmbientSpace,
     DynkinType,
     FormSpace,
     ReducibleType,
+    Root,
     RootSet,
+    _idot,
+    _reflect,
     _root_system_check,
     ambient_root,
     classify,
@@ -29,7 +36,7 @@ from laced.roots import (
     signed_graph_of,
     signed_permute,
 )
-from laced.spectra import smith_classify, two_i_minus_adjacency_rows
+from laced.spectra import SignedGraph, is_connected, shifted_gram_rows, smith_classify, two_i_minus_adjacency_rows
 
 # Fixed simple system for E8: a path a1-a3-a4-...-a8 with a2 attached at a4,
 # verified below by closure against the canonical 240.
@@ -294,6 +301,156 @@ def test_closure_intrinsic_matches_short_vector_oracle():
         seed = RootSet.of(fs, [lattice_root(fs, [1 if k == i else 0 for k in range(n)]) for i in range(n)])
         got = {r.coeffs for r in closure(seed)}
         assert got == set(short_vectors(RatMatrix(rows), 2))
+
+
+def closure_all_pairs(s):
+    """Reference closure: reflect every pair of roots found so far, until no
+    pair adds a root.  Quadratic in the closure size; the production closure
+    must return the same set."""
+    known = {}
+    order = []
+
+    def add2(r):
+        if r.key not in known:
+            known[r.key] = r
+            order.append(r)
+            m = -r
+            known[m.key] = m
+            order.append(m)
+
+    for r in s.roots:
+        add2(r)
+    i = 0
+    while i < len(order):
+        x = order[i]
+        for j in range(i):
+            y = order[j]
+            t = _idot(x, y)
+            if t == 1 or t == -1:
+                add2(_reflect(x, y, t))
+                add2(_reflect(y, x, t))
+            elif t > 2 or t < -2:
+                raise InvariantError(f"inner product {t} out of range")
+        i += 1
+    return RootSet.of(s.space, sorted(known.values(), key=Root.sort_key), validate=False)
+
+
+def assert_closure_matches_oracle(seed):
+    got = closure(seed)
+    want = closure_all_pairs(seed)
+    assert got == want
+    assert [r.key for r in got] == [r.key for r in want]  # same sorted order
+    return got
+
+
+def random_semidefinite_graphs(rng, count, max_n=8):
+    """Random connected signed graphs with A + 2I positive semidefinite."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_n)
+        edges = [(rng.randrange(v), v, rng.choice((1, -1))) for v in range(1, n)]  # a spanning tree
+        taken = {(u, v) for u, v, _ in edges}
+        for u, v in itertools.combinations(range(n), 2):
+            if (u, v) not in taken and rng.random() < 0.15:
+                edges.append((u, v, rng.choice((1, -1))))
+        g = SignedGraph(n, edges)
+        rows = shifted_gram_rows(g, 2)
+        if is_connected(g) and definiteness(RatMatrix(rows)) is not Definiteness.INDEFINITE:
+            out.append(rows)
+    return out
+
+
+def test_closure_matches_all_pairs_on_graph_forms():
+    rng = random.Random(2024)
+    forms = random_semidefinite_graphs(rng, 40)
+    kinds = {definiteness(RatMatrix(rows)) for rows in forms}
+    assert kinds == {Definiteness.POSITIVE_DEFINITE, Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR}
+    for rows in forms:
+        n = len(rows)
+        fs = FormSpace(rows)
+        units = [lattice_root(fs, [1 if k == i else 0 for k in range(n)]) for i in range(n)]
+        assert_closure_matches_oracle(RootSet.of(fs, units, validate=False))
+        # seeds that are not unit vectors: norm-2 sums and differences of two
+        # generators, which have two nonzero coefficients
+        pairs = []
+        for i, j in itertools.combinations(range(n), 2):
+            if rows[i][j]:
+                coeffs = [0] * n
+                coeffs[i], coeffs[j] = 1, -rows[i][j]
+                pairs.append(lattice_root(fs, coeffs))
+        if pairs:
+            assert_closure_matches_oracle(RootSet.of(fs, pairs + units[:1]))
+
+
+def direct_sum(labels):
+    """Ambient direct sum of canonical systems, each in its own coordinates."""
+    parts = [gen(label) for label in labels]
+    dim = sum(p.space.dim for p in parts)
+    space = AmbientSpace(dim)
+    out = []
+    offset = 0
+    for p in parts:
+        d = p.space.dim
+        for r in p:
+            coords = [Q(0)] * offset + list(r.coords) + [Q(0)] * (dim - offset - d)
+            out.append(ambient_root(space, coords))
+        offset += d
+    return RootSet.of(space, out, validate=False)
+
+
+def test_closure_matches_all_pairs_on_permuted_systems_and_bases():
+    rng = random.Random(77)
+    systems = [gen(f"A{n}") for n in range(1, 9)] + [gen(f"D{n}") for n in range(2, 9)]
+    systems += [gen(label) for label in ("E6", "E7", "E8")] + [direct_sum(["A2", "D4", "E6"])]
+    for phi in systems:
+        dim = phi.space.dim
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in range(dim)]
+        scrambled = signed_permute(phi, perm, signs)
+        assert assert_closure_matches_oracle(scrambled) == scrambled
+        assert assert_closure_matches_oracle(find_base(scrambled)) == scrambled
+
+
+def test_closure_matches_all_pairs_on_special_seeds():
+    space = AmbientSpace(8)
+    e8_base = RootSet.of(space, [ambient_root(space, v) for v in E8_SIMPLE])
+    assert assert_closure_matches_oracle(e8_base) == gen("E8")
+    assert len(assert_closure_matches_oracle(rs([Q(4, 3), Q(1, 3), Q(1, 3)]))) == 2
+    # duplicates collapse in RootSet.of; negations and a root already in the
+    # orbit of the others are redundant seeds
+    a, b = [1, -1, 0, 0], [0, 1, -1, 0]
+    redundant = rs(a, a, [-x for x in a], b, [1, 0, -1, 0], [-x for x in b], [0, 0, 1, -1])
+    assert assert_closure_matches_oracle(redundant) == gen("A3")
+    fs = FormSpace([[2, -1], [-1, 2]])
+    x, y = lattice_root(fs, [1, 0]), lattice_root(fs, [0, 1])
+    assert len(assert_closure_matches_oracle(RootSet.of(fs, [x, -x, y, x, -y]))) == 6
+
+
+NORM_8_SEED = (
+    "from laced.roots import AmbientSpace, RootSet, ambient_root, closure\n"
+    "from laced.errors import InvariantError\n"
+    "space = AmbientSpace(3)\n"
+    "seed = RootSet.of(space, [ambient_root(space, v) for v in ((2, 2, 0), (1, 1, 0))], validate=False)\n"
+    "try:\n"
+    "    closure(seed)\n"
+    "except InvariantError:\n"
+    "    raise SystemExit(0)\n"
+    "raise SystemExit(1)\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_closure_range_check_runs_in_every_mode(flags, tmp_path):
+    # a norm-8 vector meets the norm-2 root with inner product 4
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", NORM_8_SEED],
+        capture_output=True,
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- find_base ---------------------------------------------------------------
