@@ -27,6 +27,7 @@ from .roots import (
     Root,
     RootSet,
     _analyze,
+    _integral_dot,
     ambient_root,
     closure,
     components,
@@ -92,9 +93,8 @@ def root_set_from_text(text: str) -> RootSet:
         for j in range(i + 1, len(roots)):
             li, x = roots[i]
             lj, y = roots[j]
-            t = x.dot(y)
-            if t.denominator != 1:
-                raise ValueError(f"lines {li} and {lj}: non-integer inner product {t}")
+            if not _integral_dot(x, y):
+                raise ValueError(f"lines {li} and {lj}: non-integer inner product {x.dot(y)}")
     return RootSet.of(space, [r for _, r in roots], validate=False)
 
 

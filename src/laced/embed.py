@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InvariantError
-from .exactlin import Definiteness, RatMatrix, definiteness
+from .exactlin import Definiteness, definiteness
 from .roots import (
     DynkinType,
     FormSpace,
@@ -50,7 +50,7 @@ class EmbeddingCertificate:
 def check_least_eigenvalue(g: SignedGraph) -> Definiteness:
     """Exact trichotomy of A + 2I; Indefinite means the least eigenvalue of
     the signed adjacency lies below -2."""
-    return definiteness(RatMatrix(shifted_gram_rows(g, 2)))
+    return definiteness(shifted_gram_rows(g, 2))
 
 
 def _ambient_type(intrinsic: DynkinType) -> DynkinType:
@@ -69,10 +69,9 @@ def embed(g: SignedGraph) -> EmbeddingCertificate:
     """
     if not is_connected(g):
         raise ValueError("embedding requires a connected graph")
-    grid = tuple(tuple(row) for row in shifted_gram_rows(g, 2))
-    if definiteness(RatMatrix(grid)) is Definiteness.INDEFINITE:
+    if check_least_eigenvalue(g) is Definiteness.INDEFINITE:
         raise ValueError(LEAST_EIGENVALUE_DIAGNOSTIC)
-    space = FormSpace._trusted(grid)
+    space = FormSpace._trusted(tuple(tuple(row) for row in shifted_gram_rows(g, 2)))
     generators = [
         lattice_root(space, [1 if k == i else 0 for k in range(g.n)]) for i in range(g.n)
     ]

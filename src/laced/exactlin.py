@@ -1,10 +1,13 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra on integer matrices.
 
-Every decision that matters downstream (rank, kernel, definiteness, short
-vector enumeration) is computed over the rationals with arbitrary-precision
-integers.  Floating point never appears here; tests cross-check the
-definiteness trichotomy against a floating eigensolver, but the trusted path
-is exact.
+Every decision that matters downstream (definiteness, determinant, inverse,
+kernel) is fraction-free elimination in Bareiss form on arbitrary-precision
+integers: each division by the previous pivot is exact, so no rational is
+ever built.  The one exception is the short-vector enumeration, an
+independent test oracle for the reflection closure, whose LDL^T bounds need
+true rationals.  Floating point never appears here; tests cross-check the
+definiteness trichotomy against a floating eigensolver and a rational
+eliminator, but the trusted path is exact.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import mul
+from typing import Sequence
+
+from .errors import InvariantError
 
 Q = Fraction
-
-QVector = tuple[Fraction, ...]
 
 
 class Definiteness(Enum):
@@ -25,152 +29,25 @@ class Definiteness(Enum):
     INDEFINITE = "indefinite"
 
 
-class RatMatrix:
-    """Immutable matrix of exact rationals."""
+def definiteness(rows: Sequence[Sequence[int]]) -> Definiteness:
+    """Exact trichotomy of a symmetric integer matrix.
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence]) -> None:
-        grid = tuple(tuple(Q(x) for x in row) for row in entries)
-        if not grid or not grid[0]:
-            raise ValueError("matrix dimensions must be positive")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise ValueError("ragged matrix rows")
-        self.rows = len(grid)
-        self.cols = width
-        self.entries = grid
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RatMatrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({[list(map(str, row)) for row in self.entries]})"
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        e = self.entries
-        return all(e[i][j] == e[j][i] for i in range(self.rows) for j in range(i))
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.entries)))
-
-    def mul_vec(self, v: Sequence) -> QVector:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        w = [Q(x) for x in v]
-        return tuple(sum(row[j] * w[j] for j in range(self.cols)) for row in self.entries)
-
-    def mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.entries))
-        return RatMatrix(
-            [[sum(row[k] * col[k] for k in range(self.cols)) for col in cols] for row in self.entries]
-        )
-
-
-def rank(m: RatMatrix) -> int:
-    """Rank over the rationals, exact."""
-    rows = [list(r) for r in m.entries]
-    _, pivots = _echelon(rows, m.cols)
-    return len(pivots)
-
-
-def solve(m: RatMatrix, b: Sequence) -> Optional[QVector]:
-    """One exact solution of M x = b, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the answer is unique exactly when M has
-    full column rank.
+    Fraction-free symmetric elimination in Bareiss form, processing the
+    diagonal in order: a_ij <- (d * a_ij - a_ki * a_kj) / prev, where d is
+    the current pivot and prev the last nonzero one, and every division is
+    exact.  Since every earlier pivot was positive, d has the sign of the
+    rational pivot.  A zero pivot is deferred: if its entire residual row
+    vanishes the matrix can still be positive semidefinite and the index is
+    skipped without changing prev, otherwise a 2x2 indefinite block has been
+    found.  No pivot permutation is performed.
     """
-    rhs = [Q(x) for x in b]
-    if len(rhs) != m.rows:
-        raise ValueError("right-hand side has wrong length")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(m.entries)]
-    nc = m.cols
-    rows, pivots = _echelon(aug, nc)
-    for i in range(len(pivots), m.rows):
-        if rows[i][nc] != 0:
-            return None
-    x = [Q(0)] * nc
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        acc = rows[r][nc] - sum(rows[r][j] * x[j] for j in range(c + 1, nc))
-        x[c] = acc / rows[r][c]
-    return tuple(x)
-
-
-def _echelon(rows: list[list[Fraction]], nc: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place forward elimination with pivots among the first nc columns."""
-    nr = len(rows)
-    width = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = 1 / prow[c]
-        for i in range(r + 1, nr):
-            f = rows[i][c]
-            if f:
-                fi = f * inv
-                row = rows[i]
-                for j in range(c, width):
-                    row[j] -= fi * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
-
-
-def kernel_basis(m: RatMatrix) -> list[QVector]:
-    """Exact basis of the right null space; empty iff full column rank."""
-    nc = m.cols
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _echelon(rows, nc)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(nc) if c not in pivot_set]
-    basis: list[QVector] = []
-    for fc in free_cols:
-        v = [Q(0)] * nc
-        v[fc] = Q(1)
-        # back-substitute the pivot coordinates
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            acc = -sum(rows[r][j] * v[j] for j in range(c + 1, nc))
-            v[c] = acc / rows[r][c]
-        basis.append(tuple(v))
-    return basis
-
-
-def definiteness(m: RatMatrix) -> Definiteness:
-    """Exact trichotomy of a symmetric matrix.
-
-    Symmetric elimination with rational pivots, processing the diagonal in
-    order.  A zero pivot is deferred: if its entire residual row vanishes the
-    matrix can still be positive semidefinite, otherwise a 2x2 indefinite
-    block has been found.  No pivot permutation is performed.
-    """
-    if not m.is_symmetric():
+    a = [list(map(int, r)) for r in rows]
+    if a != [list(r) for r in rows]:
+        raise ValueError("definiteness requires an integer matrix")
+    n = len(a)
+    if n == 0 or any(len(r) != n for r in a) or any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("definiteness requires a symmetric matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
+    prev = 1
     saw_zero = False
     for k in range(n):
         ak = a[k]
@@ -187,11 +64,13 @@ def definiteness(m: RatMatrix) -> Definiteness:
         # every later read goes through a[min][max].
         for i in range(k + 1, n):
             f = ak[i]
-            if f:
-                fd = f / d
-                ai = a[i]
-                for j in range(i, n):
-                    ai[j] -= fd * ak[j]
+            ai = a[i]
+            for j in range(i, n):
+                q, rem = divmod(d * ai[j] - f * ak[j], prev)
+                if rem:
+                    raise InvariantError("inexact division in symmetric Bareiss elimination")
+                ai[j] = q
+        prev = d
     if saw_zero:
         return Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR
     return Definiteness.POSITIVE_DEFINITE
@@ -202,8 +81,9 @@ def _sqrt_upper(r: Fraction) -> Fraction:
     return Q(math.isqrt(r.numerator * r.denominator) + 1, r.denominator)
 
 
-def short_vectors(g: RatMatrix, target) -> list[tuple[int, ...]]:
-    """All integer vectors x with x^T G x == target, for positive definite G.
+def short_vectors(rows: Sequence[Sequence[int]], target) -> list[tuple[int, ...]]:
+    """All integer vectors x with x^T G x == target, for the positive
+    definite integer matrix G given by its rows.
 
     Bound-propagating enumeration over an exact LDL^T decomposition: the
     coefficient ranges come from rational square-root over-approximations and
@@ -211,14 +91,14 @@ def short_vectors(g: RatMatrix, target) -> list[tuple[int, ...]]:
     depends on rounding.  The result contains no duplicates and is closed
     under negation.
     """
-    if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
+    if definiteness(rows) is not Definiteness.POSITIVE_DEFINITE:
         raise ValueError("short vector enumeration requires a positive definite form")
     t = Q(target)
     if t < 0:
         return []
-    n = g.rows
+    n = len(rows)
     # G = L D L^T with L unit lower triangular, D positive.
-    a = [list(row) for row in g.entries]
+    a = [[Q(x) for x in row] for row in rows]
     low = [[Q(0)] * n for _ in range(n)]
     diag = [Q(0)] * n
     for k in range(n):
@@ -327,24 +207,31 @@ def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int
     return [[x // g for x in row] for row in num], den // g
 
 
-def primitive_integer_vector(vec: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector.
+def primitive_kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The primitive integer vector spanning the kernel of a square integer
+    matrix of corank 1, with its first nonzero entry positive.
 
-    Denominators are cleared, the content is divided out, and the sign is
-    normalized so the first nonzero entry is positive.
+    The minor that leaves out the last row and column must be nonsingular:
+    the kernel vector is (-inv(minor) c, 1) for the last column's head c,
+    cleared of the inverse's denominator.  Raises ValueError when that minor
+    is singular (corank >= 2 among others) or when the vector fails the last
+    row (corank 0).
     """
-    fracs = [Q(x) for x in vec]
-    if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive form")
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
+    n = len(rows)
+    if n < 2 or any(len(r) != n for r in rows):
+        raise ValueError("square matrix of size >= 2 required")
+    head = [list(r[:-1]) for r in rows[:-1]]
+    col = [r[-1] for r in rows[:-1]]
+    try:
+        inv_num, inv_den = integer_inverse(head)
+    except ValueError:
+        raise ValueError("the minor leaving out the last index is singular")
+    vec = [-sum(map(mul, row, col)) for row in inv_num] + [inv_den]
+    if sum(map(mul, rows[-1], vec)) != 0:
+        raise ValueError("the matrix is nonsingular")
     g = 0
-    for v in ints:
+    for v in vec:
         g = math.gcd(g, v)
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)

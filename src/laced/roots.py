@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -27,12 +27,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 from .errors import InvariantError
 from .exactlin import (
     Definiteness,
-    RatMatrix,
     definiteness,
     integer_determinant,
     integer_inverse,
-    kernel_basis,
-    primitive_integer_vector,
+    primitive_kernel_vector,
 )
 from .spectra import SignedGraph, connected_without, smith_classify
 
@@ -78,7 +76,7 @@ class FormSpace:
             raise ValueError("Gram form must be symmetric")
         if any(grid[i][i] != 2 for i in range(n)):
             raise ValueError("Gram form must have diagonal 2")
-        if definiteness(RatMatrix(grid)) is Definiteness.INDEFINITE:
+        if definiteness(grid) is Definiteness.INDEFINITE:
             raise ValueError("Gram form must be positive semidefinite")
         self.gram = grid
         self._hash = hash(grid)
@@ -250,6 +248,14 @@ def _idot(x: Root, y: Root) -> int:
     return q
 
 
+def _integral_dot(x: Root, y: Root) -> bool:
+    """Whether <x, y> is an integer, decided without building it: the
+    numerator sum must be divisible by x.den * y.den, which always holds when
+    both are 1."""
+    dd = x.den * y.den
+    return dd == 1 or sum(map(mul, x.nums, y.dvec)) % dd == 0
+
+
 def _reflect(x: Root, y: Root, t: int) -> Root:
     # x - t*y for integer t
     if type(x.space) is FormSpace:
@@ -307,9 +313,7 @@ class RootSet:
                 x = ordered[i]
                 for j in range(i + 1, n):
                     y = ordered[j]
-                    if x.den == 1 and y.den == 1:
-                        continue
-                    if x.dot(y).denominator != 1:
+                    if not _integral_dot(x, y):
                         raise ValueError(
                             f"vectors {i} and {j} have non-integer inner product {x.dot(y)}"
                         )
@@ -820,10 +824,10 @@ def _affine_exchange(u: list[Root], gram: list[list[int]]) -> list[Root]:
         for j in range(i + 1, n):
             if gram[i][j] not in (0, -1):
                 raise InvariantError(f"extended set is not obtuse: gram[{i}][{j}] = {gram[i][j]}")
-    basis = kernel_basis(RatMatrix(gram))
-    if len(basis) != 1:
-        raise InvariantError(f"affine kernel has dimension {len(basis)}, expected 1")
-    alpha = primitive_integer_vector(basis[0])
+    try:
+        alpha = primitive_kernel_vector(gram)  # the minor leaving out q is Gram(S)
+    except ValueError as e:
+        raise InvariantError(f"affine kernel is not one-dimensional: {e}")
     if any(a <= 0 for a in alpha) or min(alpha) != 1:
         raise InvariantError(f"affine marks are not positive with minimum 1: {alpha}")
     if alpha[-1] == 1:
@@ -856,31 +860,28 @@ def classify(phi: RootSet) -> Union[DynkinType, ReducibleType]:
 class Isometry:
     """Exact linear map from a root set's span into a canonical ambient space.
 
-    The matrix has one column per input coordinate (ambient coordinate, or
-    generator of the form); it preserves inner products on the span and
-    annihilates its orthogonal complement.
+    The map is the integer matrix ``rows`` over the positive denominator
+    ``den``, with no factor common to both.  It has one column per input
+    coordinate (ambient coordinate, or generator of the form); it preserves
+    inner products on the span and annihilates its orthogonal complement.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
     domain: Space
     codomain: AmbientSpace
-    # the matrix as integer rows over one positive denominator, for apply
-    _scaled: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        den = math.lcm(*(x.denominator for row in self.matrix for x in row))
-        rows = tuple(tuple(int(x * den) for x in row) for row in self.matrix)
-        object.__setattr__(self, "_scaled", (rows, den))
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The map as rows of Fractions, for output."""
+        d = self.den
+        return tuple(tuple(Q(v, d) for v in row) for row in self.rows)
 
     def apply(self, r: Root) -> Root:
         if r.space is not self.domain and r.space != self.domain:
             raise ValueError("root does not belong to the isometry's domain")
-        rows, den = self._scaled
         vec = r.nums
-        return _make_ambient(self.codomain, [sum(map(mul, row, vec)) for row in rows], den * r.den)
-
-    def as_rat_matrix(self) -> RatMatrix:
-        return RatMatrix(self.matrix)
+        return _make_ambient(self.codomain, [sum(map(mul, row, vec)) for row in self.rows], self.den * r.den)
 
 
 def _canonical_base_order(base: Sequence[Root]) -> list[Root]:
@@ -949,30 +950,38 @@ def _isometry(omega: RootSet, base: Sequence[Root], t: DynkinType) -> Isometry:
     canonical order, to the canonically ordered base of gen(t)."""
     ordered = _canonical_base_order(base)
     target = _canonical_ordered_base(t)
-    m = len(ordered)
     gram = [[_idot(a, b) for b in ordered] for a in ordered]
     if gram != [[_idot(a, b) for b in target] for a in target]:
         raise InvariantError("canonically ordered bases have different Gram matrices")
     inv_num, inv_den = integer_inverse(gram)
+    # The map is Y Ginv B: B takes a vector to its inner products with the
+    # ordered base, Ginv those to base coefficients, and Y, the target base
+    # as columns, the coefficients to the canonical model.  In integers,
+    # B = b_rows / b_den, Ginv = inv_num / inv_den and Y = y_cols / y_den.
     domain = omega.space
     if type(domain) is FormSpace:
-        in_dim = domain.n
-        b_rows = [[Q(v) for v in r.dvec] for r in ordered]
+        b_den = 1
+        b_rows = [r.dvec for r in ordered]
     else:
-        in_dim = domain.dim
-        b_rows = [list(r.coords) for r in ordered]
-    # coords -> base coefficients: Ginv @ B
-    coeff_rows = [
-        [sum(Q(inv_num[a][j]) * b_rows[j][k] for j in range(m)) / inv_den for k in range(in_dim)]
-        for a in range(m)
-    ]
-    codomain = AmbientSpace(t.ambient_dim)
-    y_cols = [r.coords for r in target]
-    matrix = tuple(
-        tuple(sum(y_cols[a][i] * coeff_rows[a][k] for a in range(m)) for k in range(in_dim))
-        for i in range(codomain.dim)
+        b_den = math.lcm(*(r.den for r in ordered))
+        b_rows = [[v * (b_den // r.den) for v in r.nums] for r in ordered]
+    y_den = math.lcm(*(r.den for r in target))
+    y_cols = [[v * (y_den // r.den) for v in r.nums] for r in target]
+    b_cols = list(zip(*b_rows))
+    coeff = [[sum(map(mul, row, col)) for col in b_cols] for row in inv_num]
+    coeff_cols = list(zip(*coeff))
+    rows = [[sum(map(mul, y, col)) for col in coeff_cols] for y in zip(*y_cols)]
+    den = inv_den * b_den * y_den
+    g = den
+    for row in rows:
+        for v in row:
+            g = math.gcd(g, v)
+    iso = Isometry(
+        rows=tuple(tuple(v // g for v in row) for row in rows),
+        den=den // g,
+        domain=domain,
+        codomain=AmbientSpace(t.ambient_dim),
     )
-    iso = Isometry(matrix=matrix, domain=domain, codomain=codomain)
     if {iso.apply(r).key for r in omega.roots} != gen(t).keys():
         raise InvariantError("mapped root system does not equal the canonical model")
     return iso

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InvariantError
-from .exactlin import (
-    Definiteness,
-    RatMatrix,
-    definiteness,
-    kernel_basis,
-    primitive_integer_vector,
-)
+from .exactlin import Definiteness, definiteness, primitive_kernel_vector
 
 
 class SignedGraph:
@@ -73,11 +67,6 @@ class SignedGraph:
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.n}, edges={list(self.edges)})"
-
-
-def adjacency(g: SignedGraph) -> RatMatrix:
-    """Signed adjacency matrix: entries in {-1, 0, 1}, zero diagonal."""
-    return RatMatrix(g.adjacency_rows())
 
 
 def shifted_gram_rows(g: SignedGraph, shift: int) -> list[list[int]]:
@@ -236,10 +225,12 @@ def smith_classify(g: SignedGraph) -> SmithType:
 
 
 def _affine_marks_raw(g: SignedGraph) -> tuple[int, ...]:
-    basis = kernel_basis(RatMatrix(two_i_minus_adjacency_rows(g)))
-    if len(basis) != 1:
-        raise InvariantError(f"affine shape kernel has dimension {len(basis)}, expected 1")
-    alpha = primitive_integer_vector(basis[0])
+    # leaving out the last vertex of an affine shape leaves a finite one, so
+    # the minor the kernel helper inverts is nonsingular
+    try:
+        alpha = primitive_kernel_vector(two_i_minus_adjacency_rows(g))
+    except ValueError as e:
+        raise InvariantError(f"affine shape kernel is not one-dimensional: {e}")
     if any(v <= 0 for v in alpha) or min(alpha) != 1:
         raise InvariantError(f"affine marks are not positive with minimum 1: {alpha}")
     adj_rows = g.adjacency_rows()
@@ -250,7 +241,7 @@ def _affine_marks_raw(g: SignedGraph) -> tuple[int, ...]:
 
 
 def _definiteness_matches(g: SignedGraph, kind: str) -> bool:
-    d = definiteness(RatMatrix(two_i_minus_adjacency_rows(g)))
+    d = definiteness(two_i_minus_adjacency_rows(g))
     expected = {
         "finite": Definiteness.POSITIVE_DEFINITE,
         "affine": Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR,

@@ -20,7 +20,7 @@ import pytest
 
 from laced.cli import main as cli_main
 from laced.embed import check_least_eigenvalue, embed, verify_certificate
-from laced.exactlin import Definiteness, RatMatrix, definiteness, short_vectors
+from laced.exactlin import Definiteness, definiteness, short_vectors
 from laced.roots import (
     FormSpace,
     RootSet,
@@ -43,6 +43,7 @@ from laced.spectra import (
     two_i_minus_adjacency_rows,
 )
 from graphgen import connected_graphs_up_to
+from ratref import RatMatrix
 from shapes import affine_shape, finite_shape
 
 PD = Definiteness.POSITIVE_DEFINITE
@@ -88,7 +89,7 @@ def test_criterion_2_base_gives_back_the_system():
             assert closure(base) == phi, label
             gram = [[int(a.dot(b)) for b in base] for a in base]
             assert gram == two_i_minus_adjacency_rows(graph_of(base)), label
-            assert definiteness(RatMatrix(gram)) is PD, label
+            assert definiteness(gram) is PD, label
 
 
 CLASSIFY_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + [
@@ -124,7 +125,7 @@ def test_criterion_4_closure_equals_short_vector_oracle():
             for i in range(m):
                 for j in range(i + 1, m):
                     rows[i][j] = rows[j][i] = rng.choice([-1, 0, 1])
-            if definiteness(RatMatrix(rows)) is not PD:
+            if definiteness(rows) is not PD:
                 continue
             found += 1
             fs = FormSpace(rows)
@@ -133,7 +134,7 @@ def test_criterion_4_closure_equals_short_vector_oracle():
             ]
             seed = RootSet.of(fs, units, validate=False)
             got = {r.coeffs for r in closure(seed)}
-            assert got == set(short_vectors(RatMatrix(rows), 2))
+            assert got == set(short_vectors(rows, 2))
         assert time.time() - t0 < 60.0
 
 
@@ -145,7 +146,7 @@ def test_criterion_5_graph_shape_suite():
         for family, rk in affine:
             g = affine_shape(family, rk)
             assert g.n <= 9
-            assert definiteness(RatMatrix(two_i_minus_adjacency_rows(g))) is PSD
+            assert definiteness(two_i_minus_adjacency_rows(g)) is PSD
             st = smith_classify(g)
             assert st.kind == "affine" and (st.family, st.rank) == (family, rk)
             alpha = st.marks
@@ -158,7 +159,7 @@ def test_criterion_5_graph_shape_suite():
         for family, rk in finite:
             g = finite_shape(family, rk)
             assert g.n <= 9
-            assert definiteness(RatMatrix(two_i_minus_adjacency_rows(g))) is PD
+            assert definiteness(two_i_minus_adjacency_rows(g)) is PD
             st = smith_classify(g)
             assert st.kind == "finite" and (st.family, st.rank) == (family, rk)
         # exhaustive agreement over all connected graphs on <= 7 vertices
@@ -169,7 +170,7 @@ def test_criterion_5_graph_shape_suite():
         for n, edges in connected_graphs_up_to(7):
             g = SignedGraph.unsigned(n, edges)
             st = smith_classify(g)
-            d = definiteness(RatMatrix(two_i_minus_adjacency_rows(g)))
+            d = definiteness(two_i_minus_adjacency_rows(g))
             expected = {"finite": PD, "affine": PSD, "exceeds": INDEF}[st.kind]
             assert d is expected, (n, edges, st.kind, d)
             checked += 1
@@ -238,7 +239,7 @@ def test_criterion_7_isometry_suite():
             scrambled = signed_permute(e6, perm, signs)
             t, iso = isometry_to_canonical(scrambled)
             assert t.label == "E6"
-            m = iso.as_rat_matrix()
+            m = RatMatrix(iso.matrix)
             qtq = m.transpose().mul(m)
             for r in scrambled:
                 assert qtq.mul_vec(r.coords) == r.coords  # identity on the span, exact

@@ -10,9 +10,10 @@ from laced.embed import (
     embed,
     verify_certificate,
 )
-from laced.exactlin import Definiteness, RatMatrix, kernel_basis, primitive_integer_vector, rank
+from laced.exactlin import Definiteness
 from laced.roots import DynkinType
 from laced.spectra import SignedGraph, is_connected, shifted_gram_rows
+from ratref import RatMatrix, kernel_basis, primitive_integer_vector, rank
 
 PD = Definiteness.POSITIVE_DEFINITE
 PSD = Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR

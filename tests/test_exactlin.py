@@ -2,22 +2,22 @@ import itertools
 import math
 import random
 from fractions import Fraction as Q
+from operator import mul
 
 import numpy as np
 import pytest
 
 from laced.exactlin import (
     Definiteness,
-    RatMatrix,
     definiteness,
     integer_determinant,
     integer_inverse,
-    kernel_basis,
-    primitive_integer_vector,
-    rank,
+    primitive_kernel_vector,
     short_vectors,
-    solve,
 )
+from laced.spectra import two_i_minus_adjacency_rows
+from ratref import RatMatrix, kernel_basis, primitive_integer_vector, rank, rational_definiteness, solve
+from shapes import affine_shape, finite_shape
 
 PD = Definiteness.POSITIVE_DEFINITE
 PSD = Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR
@@ -136,29 +136,38 @@ def test_kernel_vectors_are_annihilated():
 
 def test_definiteness_examples():
     # pivots 2, 3/2
-    assert definiteness(RatMatrix([[2, -1], [-1, 2]])) is PD
+    assert definiteness([[2, -1], [-1, 2]]) is PD
     # K_3 has eigenvalues 2, -1, -1 so 2I - A has 0, 3, 3
-    assert definiteness(RatMatrix(TRIANGLE_GRAM)) is PSD
+    assert definiteness(TRIANGLE_GRAM) is PSD
     # K_{1,5} has largest eigenvalue sqrt(5) > 2
     star = [[0] * 6 for _ in range(6)]
     for i in range(1, 6):
         star[0][i] = star[i][0] = 1
     two_i_minus = [[2 * (i == j) - star[i][j] for j in range(6)] for i in range(6)]
-    assert definiteness(RatMatrix(two_i_minus)) is INDEF
+    assert definiteness(two_i_minus) is INDEF
 
 
 def test_definiteness_rejects_non_symmetric():
     with pytest.raises(ValueError):
-        definiteness(RatMatrix([[1, 2], [3, 4]]))
+        definiteness([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
-        definiteness(RatMatrix([[1, 2, 3], [4, 5, 6]]))
+        definiteness([[1, 2, 3], [4, 5, 6]])
+
+
+def test_definiteness_rejects_non_integer_entries():
+    # the rational answer would be indefinite; truncation would hide that
+    with pytest.raises(ValueError, match="integer matrix"):
+        definiteness([[Q(-1, 2)]])
+    with pytest.raises(ValueError, match="integer matrix"):
+        short_vectors([[Q(5, 2), 1], [1, 2]], 2)
+    assert definiteness([[Q(2), Q(-1)], [Q(-1), Q(2)]]) is PD
 
 
 def test_definiteness_zero_pivot_cases():
-    assert definiteness(RatMatrix([[0, 0], [0, 1]])) is PSD
-    assert definiteness(RatMatrix([[0, 1], [1, 1]])) is INDEF
-    assert definiteness(RatMatrix([[0]])) is PSD
-    assert definiteness(RatMatrix([[1, 2], [2, 1]])) is INDEF
+    assert definiteness([[0, 0], [0, 1]]) is PSD
+    assert definiteness([[0, 1], [1, 1]]) is INDEF
+    assert definiteness([[0]]) is PSD
+    assert definiteness([[1, 2], [2, 1]]) is INDEF
 
 
 def test_definiteness_matches_kernel():
@@ -166,7 +175,7 @@ def test_definiteness_matches_kernel():
     pd_seen = psd_seen = 0
     for _ in range(200):
         rows = random_symmetric(rng, rng.randint(1, 5))
-        d = definiteness(RatMatrix(rows))
+        d = definiteness(rows)
         ker = kernel_basis(RatMatrix(rows))
         if d is PD:
             pd_seen += 1
@@ -185,7 +194,7 @@ def test_definiteness_agrees_with_floating_eigensolver():
     cases = [TRIANGLE_GRAM, [[2, -1], [-1, 2]], [[0, 1], [1, 1]]]
     cases += [random_symmetric(rng, rng.randint(1, 6)) for _ in range(300)]
     for rows in cases:
-        d = definiteness(RatMatrix(rows))
+        d = definiteness(rows)
         lam = min_eigenvalue(rows)
         if d is PD:
             assert lam > -1e-9
@@ -199,20 +208,20 @@ def test_definiteness_agrees_with_floating_eigensolver():
 
 
 def test_short_vectors_one_dimensional():
-    assert short_vectors(RatMatrix([[2]]), 2) == [(-1,), (1,)]
+    assert short_vectors([[2]], 2) == [(-1,), (1,)]
 
 
 def test_short_vectors_a2_gram():
-    got = short_vectors(RatMatrix([[2, -1], [-1, 2]]), 2)
+    got = short_vectors([[2, -1], [-1, 2]], 2)
     assert got == brute_force_short_vectors([[2, -1], [-1, 2]], 2, 2)
     assert len(got) == 6
 
 
 def test_short_vectors_requires_positive_definite():
     with pytest.raises(ValueError):
-        short_vectors(RatMatrix(TRIANGLE_GRAM), 2)
+        short_vectors(TRIANGLE_GRAM, 2)
     with pytest.raises(ValueError):
-        short_vectors(RatMatrix([[0, 1], [1, 1]]), 2)
+        short_vectors([[0, 1], [1, 1]], 2)
 
 
 def test_short_vectors_negation_closed_no_duplicates():
@@ -224,10 +233,10 @@ def test_short_vectors_negation_closed_no_duplicates():
         for i in range(n):
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = rng.choice([-1, 0, 1])
-        if definiteness(RatMatrix(rows)) is not PD:
+        if definiteness(rows) is not PD:
             continue
         found += 1
-        got = short_vectors(RatMatrix(rows), 2)
+        got = short_vectors(rows, 2)
         assert len(set(got)) == len(got)
         as_set = set(got)
         assert as_set == {tuple(-x for x in v) for v in as_set}
@@ -240,12 +249,12 @@ def test_short_vectors_negation_closed_no_duplicates():
 
 def test_short_vectors_nonstandard_target():
     rows = [[2, 0], [0, 2]]
-    assert short_vectors(RatMatrix(rows), 4) == sorted(
+    assert short_vectors(rows, 4) == sorted(
         [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     )
-    assert short_vectors(RatMatrix(rows), 0) == [(0, 0)]
-    assert short_vectors(RatMatrix(rows), 1) == []
-    assert short_vectors(RatMatrix(rows), -2) == []
+    assert short_vectors(rows, 0) == [(0, 0)]
+    assert short_vectors(rows, 1) == []
+    assert short_vectors(rows, -2) == []
 
 
 # --- integer helpers ----------------------------------------------------
@@ -335,3 +344,123 @@ def test_rat_matrix_shape_validation():
         RatMatrix([])
     with pytest.raises(ValueError):
         RatMatrix([[1, 2], [3]])
+
+
+# --- integer elimination against the rational reference ----------------
+
+
+def random_gram(rng, n):
+    """Gram matrix of n random integer vectors; singular when they are
+    dependent, with zero vectors and combinations of earlier ones mixed in."""
+    dim = rng.randint(1, n + 1)
+    vecs = []
+    for _ in range(n):
+        pick = rng.random()
+        if pick < 0.1:
+            vecs.append([0] * dim)
+        elif pick < 0.25 and vecs:
+            a, b = rng.choice(vecs), rng.choice(vecs)
+            c = rng.randint(-2, 2)
+            vecs.append([x + c * y for x, y in zip(a, b)])
+        else:
+            vecs.append([rng.randint(-2, 2) for _ in range(dim)])
+    return [[sum(map(mul, u, v)) for v in vecs] for u in vecs]
+
+
+def test_definiteness_matches_rational_elimination():
+    rng = random.Random(1968)
+    seen = {PD: 0, PSD: 0, INDEF: 0}
+    leading_zero = 0
+    for case in range(6000):
+        n = rng.randint(1, 9)
+        kind = case % 4
+        if kind == 0:
+            rows = random_symmetric(rng, n, *rng.choice([(-1, 1), (-3, 3), (-9, 9), (0, 2)]))
+        elif kind == 1:
+            rows = random_gram(rng, n)
+        elif kind == 2:
+            # shifted adjacency of a random signed graph, as embed meets it
+            rows = random_symmetric(rng, n, -1, 1)
+            for i in range(n):
+                rows[i][i] = 2
+        else:
+            # leading zero pivots: a zero first diagonal entry, with its row
+            # cleared (deferred) or not (indefinite)
+            rows = random_gram(rng, n) if rng.random() < 0.5 else random_symmetric(rng, n)
+            rows[0][0] = 0
+            if rng.random() < 0.5:
+                for j in range(n):
+                    rows[0][j] = rows[j][0] = 0
+        if rows[0][0] == 0:
+            leading_zero += 1
+        want = rational_definiteness(RatMatrix(rows))
+        assert definiteness(rows) is want, rows
+        seen[want] += 1
+    assert min(seen.values()) >= 500, seen
+    assert leading_zero >= 1000
+
+
+# --- primitive_kernel_vector ----------------------------------------------
+
+
+def reference_kernel_vector(rows):
+    basis = kernel_basis(RatMatrix(rows))
+    assert len(basis) == 1
+    return primitive_integer_vector(basis[0])
+
+
+def test_kernel_vector_of_every_affine_shape():
+    rng = random.Random(1111)
+    labels = [("A", n) for n in range(2, 13)] + [("D", n) for n in range(4, 13)]
+    labels += [("E", 6), ("E", 7), ("E", 8)]
+    for family, rk in labels:
+        g = affine_shape(family, rk)
+        rows = two_i_minus_adjacency_rows(g)
+        assert primitive_kernel_vector(rows) == reference_kernel_vector(rows), (family, rk)
+        # relabelled copies leave out a different vertex
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            moved = [[rows[perm[i]][perm[j]] for j in range(g.n)] for i in range(g.n)]
+            assert primitive_kernel_vector(moved) == reference_kernel_vector(moved), (family, rk)
+
+
+def test_kernel_vector_of_affine_exchange_grams(monkeypatch):
+    import laced.roots
+
+    met = []
+
+    def recording(rows):
+        met.append([list(r) for r in rows])
+        return primitive_kernel_vector(rows)
+
+    monkeypatch.setattr(laced.roots, "primitive_kernel_vector", recording)
+    rng = random.Random(2008)
+    labels = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 9)] + ["E6", "E7", "E8"]
+    for label in labels:
+        phi = laced.roots.gen(label)
+        laced.roots.find_base(phi)
+        dim = phi.space.dim
+        for _ in range(4):
+            perm = list(range(dim))
+            rng.shuffle(perm)
+            signs = [rng.choice([1, -1]) for _ in range(dim)]
+            laced.roots.find_base(laced.roots.signed_permute(phi, perm, signs))
+    assert met
+    for rows in met:
+        assert primitive_kernel_vector(rows) == reference_kernel_vector(rows)
+
+
+def test_kernel_vector_requires_corank_one():
+    # corank 0
+    for rows in ([[2, -1], [-1, 2]], [[1, 0], [0, 1]], two_i_minus_adjacency_rows(finite_shape("E", 8))):
+        with pytest.raises(ValueError):
+            primitive_kernel_vector(rows)
+    # corank >= 2: the minor leaving out the last index is singular
+    two_cycles = [[2, -1, -1, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [-1, -1, 2, 0, 0, 0],
+                  [0, 0, 0, 2, -1, -1], [0, 0, 0, -1, 2, -1], [0, 0, 0, -1, -1, 2]]
+    for rows in (two_cycles, [[0, 0], [0, 0]], [[0] * 3 for _ in range(3)]):
+        with pytest.raises(ValueError):
+            primitive_kernel_vector(rows)
+    assert primitive_kernel_vector(TRIANGLE_GRAM) == (1, 1, 1)
+    assert primitive_kernel_vector([[1, 2], [2, 4]]) == (2, -1)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from laced.errors import InvariantError
-from laced.exactlin import Definiteness, RatMatrix, definiteness, short_vectors
+from laced.exactlin import Definiteness, definiteness, short_vectors
 from laced.roots import (
     AmbientSpace,
     DynkinType,
@@ -16,7 +17,9 @@ from laced.roots import (
     ReducibleType,
     Root,
     RootSet,
+    _component_base,
     _idot,
+    _integral_dot,
     _reflect,
     _root_system_check,
     ambient_root,
@@ -37,6 +40,7 @@ from laced.roots import (
     signed_permute,
 )
 from laced.spectra import SignedGraph, is_connected, shifted_gram_rows, smith_classify, two_i_minus_adjacency_rows
+from ratref import RatMatrix, isometry_matrix
 
 # Fixed simple system for E8: a path a1-a3-a4-...-a8 with a2 attached at a4,
 # verified below by closure against the canonical 240.
@@ -294,13 +298,13 @@ def test_closure_intrinsic_matches_short_vector_oracle():
         for i in range(n):
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = rng.choice([-1, 0, 1])
-        if definiteness(RatMatrix(rows)) is not Definiteness.POSITIVE_DEFINITE:
+        if definiteness(rows) is not Definiteness.POSITIVE_DEFINITE:
             continue
         done += 1
         fs = FormSpace(rows)
         seed = RootSet.of(fs, [lattice_root(fs, [1 if k == i else 0 for k in range(n)]) for i in range(n)])
         got = {r.coeffs for r in closure(seed)}
-        assert got == set(short_vectors(RatMatrix(rows), 2))
+        assert got == set(short_vectors(rows, 2))
 
 
 def closure_all_pairs(s):
@@ -355,7 +359,7 @@ def random_semidefinite_graphs(rng, count, max_n=8):
                 edges.append((u, v, rng.choice((1, -1))))
         g = SignedGraph(n, edges)
         rows = shifted_gram_rows(g, 2)
-        if is_connected(g) and definiteness(RatMatrix(rows)) is not Definiteness.INDEFINITE:
+        if is_connected(g) and definiteness(rows) is not Definiteness.INDEFINITE:
             out.append(rows)
     return out
 
@@ -363,7 +367,7 @@ def random_semidefinite_graphs(rng, count, max_n=8):
 def test_closure_matches_all_pairs_on_graph_forms():
     rng = random.Random(2024)
     forms = random_semidefinite_graphs(rng, 40)
-    kinds = {definiteness(RatMatrix(rows)) for rows in forms}
+    kinds = {definiteness(rows) for rows in forms}
     assert kinds == {Definiteness.POSITIVE_DEFINITE, Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR}
     for rows in forms:
         n = len(rows)
@@ -485,7 +489,7 @@ def test_find_base_properties_sample():
         assert is_obtuse(base)
         assert closure(base) == phi
         gram = two_i_minus_adjacency_rows(graph_of(base))
-        assert definiteness(RatMatrix(gram)) is Definiteness.POSITIVE_DEFINITE
+        assert definiteness(gram) is Definiteness.POSITIVE_DEFINITE
 
 
 def test_find_base_reducible():
@@ -577,7 +581,7 @@ def test_isometry_preserves_gram_and_fixes_span():
     for x in roots[:6]:
         for y in roots[:6]:
             assert inner_product(iso.apply(x), iso.apply(y)) == inner_product(x, y)
-    m = iso.as_rat_matrix()
+    m = RatMatrix(iso.matrix)
     qtq = m.transpose().mul(m)
     for x in roots:
         assert qtq.mul_vec(x.coords) == x.coords
@@ -588,7 +592,7 @@ def test_isometry_apply_matches_the_rational_matrix():
     # product is the reference, for ambient and for intrinsic domains
     e6 = signed_permute(gen("E6"), [7, 6, 5, 4, 3, 2, 1, 0], [1, -1, 1, -1, 1, 1, -1, 1])
     _, iso = isometry_to_canonical(e6)
-    m = iso.as_rat_matrix()
+    m = RatMatrix(iso.matrix)
     for r in e6:
         assert iso.apply(r).coords == m.mul_vec(r.coords)
     space = FormSpace([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])  # affine A2: a radical
@@ -596,7 +600,7 @@ def test_isometry_apply_matches_the_rational_matrix():
     phi = closure(RootSet.of(space, seed))
     t, iso = isometry_to_canonical(phi)
     assert t == DynkinType("A", 2)
-    m = iso.as_rat_matrix()
+    m = RatMatrix(iso.matrix)
     for r in phi:
         assert iso.apply(r).coords == m.mul_vec(r.coeffs)
 
@@ -633,7 +637,7 @@ def test_short_vectors_e8_oracle():
     space = AmbientSpace(8)
     simple = [ambient_root(space, v) for v in E8_SIMPLE]
     gram = [[int(inner_product(a, b)) for b in simple] for a in simple]
-    coeff_vectors = short_vectors(RatMatrix(gram), 2)
+    coeff_vectors = short_vectors(gram, 2)
     assert len(coeff_vectors) == 240
     mapped = set()
     for coeffs in coeff_vectors:
@@ -674,3 +678,40 @@ def test_closure_handles_unusual_denominators():
         (Q(4, 3), Q(1, 3), Q(1, 3)),
         (Q(-4, 3), Q(-1, 3), Q(-1, 3)),
     }
+
+
+def test_isometry_matrix_matches_the_fraction_formula():
+    # the integer build of the isometry against the Fraction sums it
+    # replaced, from the same base: signed-permuted systems of every
+    # irreducible type up to rank 8, and an intrinsic form with a radical
+    rng = random.Random(4)
+    labels = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8"]
+    cases = []
+    for label in labels:
+        phi = gen(label)
+        dim = phi.space.dim
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        cases.append(signed_permute(phi, perm, [rng.choice([1, -1]) for _ in range(dim)]))
+    space = FormSpace([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])  # affine A2: a radical
+    seed = [lattice_root(space, c) for c in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+    cases.append(closure(RootSet.of(space, seed)))
+    for omega in cases:
+        t, iso = isometry_to_canonical(omega)
+        assert iso.matrix == isometry_matrix(omega, _component_base(omega), t), t
+        assert iso.den > 0 and math.gcd(iso.den, *(v for row in iso.rows for v in row)) == 1
+
+
+def test_integral_dot_matches_the_rational_inner_product():
+    rng = random.Random(5)
+    space = AmbientSpace(4)
+    vecs = [
+        ambient_root(space, [Q(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6])) for _ in range(4)])
+        for _ in range(60)
+    ]
+    integral = 0
+    for x in vecs:
+        for y in vecs:
+            assert _integral_dot(x, y) == (x.dot(y).denominator == 1)
+            integral += _integral_dot(x, y)
+    assert 0 < integral < len(vecs) ** 2

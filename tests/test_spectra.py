@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from laced.exactlin import Definiteness, RatMatrix, definiteness
+from laced.exactlin import Definiteness, definiteness
 from laced.spectra import (
     SignedGraph,
-    adjacency,
     affine_marks,
     connected_without,
     is_connected,
     smith_classify,
     two_i_minus_adjacency_rows,
 )
+from ratref import adjacency
 from shapes import affine_shape, cycle_graph, finite_shape, fork_graph, path_graph, star_graph
 
 PD = Definiteness.POSITIVE_DEFINITE
@@ -98,7 +98,7 @@ def test_finite_shapes_positive_definite():
         g = finite_shape(family, n)
         st = smith_classify(g)
         assert (st.kind, st.family, st.rank) == ("finite", family, n)
-        assert definiteness(RatMatrix(two_i_minus_adjacency_rows(g))) is PD
+        assert definiteness(two_i_minus_adjacency_rows(g)) is PD
 
 
 def test_affine_shapes_semidefinite_with_valid_marks():
@@ -106,7 +106,7 @@ def test_affine_shapes_semidefinite_with_valid_marks():
         g = affine_shape(family, n)
         st = smith_classify(g)
         assert (st.kind, st.family, st.rank) == ("affine", family, n)
-        assert definiteness(RatMatrix(two_i_minus_adjacency_rows(g))) is PSD
+        assert definiteness(two_i_minus_adjacency_rows(g)) is PSD
         alpha = st.marks
         assert alpha is not None and min(alpha) == 1
         rows = g.adjacency_rows()
