@@ -28,6 +28,7 @@ from .roots import (
     RootSet,
     _analyze,
     _integral_dot,
+    _norm_is_2,
     ambient_root,
     closure,
     components,
@@ -85,9 +86,8 @@ def root_set_from_text(text: str) -> RootSet:
     roots: list[tuple[int, Root]] = []
     for lineno, vec in rows:
         r = ambient_root(space, vec)
-        n2 = r.norm2()
-        if n2 != 2:
-            raise ValueError(f"line {lineno}: vector has squared norm {n2}, expected 2")
+        if not _norm_is_2(r):
+            raise ValueError(f"line {lineno}: vector has squared norm {r.norm2()}, expected 2")
         roots.append((lineno, r))
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):

@@ -29,6 +29,15 @@ class Definiteness(Enum):
     INDEFINITE = "indefinite"
 
 
+def _integer_rows(rows: Sequence[Sequence[int]], who: str) -> list[list[int]]:
+    """The rows as lists of ints.  Raises ValueError on an entry that is not
+    an integral value, which int() would otherwise truncate."""
+    a = [list(map(int, r)) for r in rows]
+    if a != [list(r) for r in rows]:
+        raise ValueError(f"{who} requires an integer matrix")
+    return a
+
+
 def definiteness(rows: Sequence[Sequence[int]]) -> Definiteness:
     """Exact trichotomy of a symmetric integer matrix.
 
@@ -41,9 +50,7 @@ def definiteness(rows: Sequence[Sequence[int]]) -> Definiteness:
     skipped without changing prev, otherwise a 2x2 indefinite block has been
     found.  No pivot permutation is performed.
     """
-    a = [list(map(int, r)) for r in rows]
-    if a != [list(r) for r in rows]:
-        raise ValueError("definiteness requires an integer matrix")
+    a = _integer_rows(rows, "definiteness")
     n = len(a)
     if n == 0 or any(len(r) != n for r in a) or any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("definiteness requires a symmetric matrix")
@@ -141,7 +148,7 @@ def short_vectors(rows: Sequence[Sequence[int]], target) -> list[tuple[int, ...]
 
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix (fraction-free Bareiss elimination)."""
-    a = [list(map(int, r)) for r in rows]
+    a = _integer_rows(rows, "integer_determinant")
     n = len(a)
     if n == 0 or any(len(r) != n for r in a):
         raise ValueError("square matrix required")
@@ -173,11 +180,12 @@ def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int
     than the pivot row is updated as (p * row - f * pivot_row) / prev, where
     the division by the previous pivot is exact.  At the end the left block is
     d * I and the right block d * inverse, with d = +-det; the result is
-    reduced by the gcd of d and every entry.  Raises ValueError when the
-    matrix is singular.
+    reduced by the gcd of d and every entry.  Raises ValueError on a
+    non-integer entry or when the matrix is singular.
     """
-    n = len(rows)
-    aug = [[int(x) for x in row] + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(rows)]
+    a = _integer_rows(rows, "integer_inverse")
+    n = len(a)
+    aug = [row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(a)]
     prev = 1
     for c in range(n):
         piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
@@ -213,14 +221,15 @@ def primitive_kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
     The minor that leaves out the last row and column must be nonsingular:
     the kernel vector is (-inv(minor) c, 1) for the last column's head c,
-    cleared of the inverse's denominator.  Raises ValueError when that minor
-    is singular (corank >= 2 among others) or when the vector fails the last
-    row (corank 0).
+    cleared of the inverse's denominator.  Raises ValueError on a
+    non-integer entry, when that minor is singular (corank >= 2 among others)
+    or when the vector fails the last row (corank 0).
     """
     n = len(rows)
     if n < 2 or any(len(r) != n for r in rows):
         raise ValueError("square matrix of size >= 2 required")
-    head = [list(r[:-1]) for r in rows[:-1]]
+    rows = _integer_rows(rows, "primitive_kernel_vector")
+    head = [r[:-1] for r in rows[:-1]]
     col = [r[-1] for r in rows[:-1]]
     try:
         inv_num, inv_den = integer_inverse(head)

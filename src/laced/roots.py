@@ -12,7 +12,9 @@ lattice vectors generated by a seed S.  It is the orbit W(S)·S of the seed
 under its own reflections (s_{w(a)} = w s_a w^-1, so the reflections in the
 roots found add nothing to those in S), grown with |Phi|·|S| sparse inner
 products; the lattice short-vector enumeration in ``exactlin`` stays an
-independent oracle for it.
+independent oracle for it.  It is the module's one lattice algorithm: base
+growth reads lattice membership off the closure at every step, and
+is_root_system compares a set with its closure.
 """
 
 from __future__ import annotations
@@ -256,6 +258,12 @@ def _integral_dot(x: Root, y: Root) -> bool:
     return dd == 1 or sum(map(mul, x.nums, y.dvec)) % dd == 0
 
 
+def _norm_is_2(r: Root) -> bool:
+    """Whether <r, r> == 2, decided in integers: the numerator sum must be
+    2 * den * den."""
+    return sum(map(mul, r.nums, r.dvec)) == 2 * r.den * r.den
+
+
 def _reflect(x: Root, y: Root, t: int) -> Root:
     # x - t*y for integer t
     if type(x.space) is FormSpace:
@@ -303,7 +311,7 @@ class RootSet:
         for i, r in enumerate(roots):
             if r.space is not space and r.space != space:
                 raise ValueError(f"vector {i} belongs to a different space")
-            if validate and r.norm2() != 2:
+            if validate and not _norm_is_2(r):
                 raise ValueError(f"vector {i} has squared norm {r.norm2()}, expected 2")
             unique.setdefault(r.key, r)
         ordered = sorted(unique.values(), key=Root.sort_key)
@@ -561,42 +569,19 @@ def is_obtuse(s: RootSet) -> bool:
 def is_root_system(s: RootSet) -> bool:
     """Nonempty, closed under negation and under x -> x - <x,y> y.
 
-    The result is cached on the (immutable) set; closure() marks its output
-    as a root system since reflection-closedness is its loop postcondition.
+    closure(s) is the smallest superset of S u (-S) closed under those
+    reflections, so s is a root system exactly when it is nonempty and equals
+    its closure.  The result is cached on the (immutable) set; closure()
+    marks its output as a root system since reflection-closedness is its
+    loop postcondition.  A set built with validate=False that holds a
+    vector of squared norm >= 3 gets no answer: closure's range check raises
+    InvariantError, also when that vector's negation is missing.
     """
     if s._flag is not None:
         return s._flag
-    result = _root_system_check(s)
+    result = bool(s.roots) and closure(s).keys() == s.keys()
     s._flag = result
     return result
-
-
-def _root_system_check(s: RootSet) -> bool:
-    roots = s.roots
-    if not roots:
-        return False
-    keys = s._keys
-    for r in roots:
-        if (-r).key not in keys:
-            return False
-    n = len(roots)
-    for i in range(n):
-        x = roots[i]
-        for j in range(i + 1, n):
-            y = roots[j]
-            t = _idot(x, y)
-            if t == 0:
-                continue
-            if t == 1 or t == -1:
-                if _reflect(x, y, t).key not in keys:
-                    return False
-                if _reflect(y, x, t).key not in keys:
-                    return False
-            elif t != -2:
-                # Cauchy-Schwarz: |t| = 2 forces y = -x (same key is deduped),
-                # and those reflections land on existing negations.
-                raise InvariantError(f"inner product {t} violates the trichotomy")
-    return True
 
 
 def closure(s: RootSet) -> RootSet:
@@ -706,13 +691,19 @@ def _component_base(comp: RootSet) -> list[Root]:
     root still meeting S negatively; either S grows independently, or the
     extended set is affine and a marks-1 vertex is exchanged away.  Every
     step strictly enlarges the set of roots captured by the lattice.
+
+    The roots in the lattice Z·S are read off closure(S).  Z·S is an even
+    lattice generated by norm-2 vectors, hence a sum of ADE root lattices,
+    and W(S)·S is all of its norm-2 vectors.  In the intrinsic case this
+    holds modulo the radical, where S stays independent because every step
+    keeps Gram(S) nonsingular.
     """
     roots = list(comp.roots)
     total = len(roots)
     s = [roots[0]]
     captured = -1
     for _ in range(4 * total + 16):
-        member_keys = _lattice_members(s, roots)
+        member_keys = closure(RootSet._assembled(comp.space, s)).keys()
         if len(member_keys) == total:
             return s
         if len(member_keys) <= captured:
@@ -729,50 +720,7 @@ def _component_base(comp: RootSet) -> list[Root]:
     raise InvariantError("base search failed to converge")
 
 
-def _lattice_members(s: list[Root], roots: list[Root]) -> set:
-    """Keys of the roots lying in the integer lattice spanned by S."""
-    gram = [[_idot(a, b) for b in s] for a in s]
-    inv_num, inv_den = integer_inverse(gram)
-    members = set()
-    for r in roots:
-        b = [_idot(x, r) for x in s]
-        coeffs = []
-        ok = True
-        for row in inv_num:
-            num = sum(map(mul, row, b))
-            c, rem = divmod(num, inv_den)
-            if rem:
-                ok = False
-                break
-            coeffs.append(c)
-        if ok and _combination_key(s, coeffs) == r.key:
-            members.add(r.key)
-    return members
-
-
-def _combination_key(s: list[Root], coeffs: list[int]):
-    """Canonical key of sum(c_i * s_i) without building a Root."""
-    space = s[0].space
-    if type(space) is FormSpace:
-        acc = [0] * space.n
-        for c, r in zip(coeffs, s):
-            if c:
-                for k, v in enumerate(r.dvec):
-                    acc[k] += c * v
-        return tuple(acc)
-    den = 1
-    for r in s:
-        den = den * r.den // math.gcd(den, r.den)
-    acc = [0] * space.dim
-    for c, r in zip(coeffs, s):
-        if c:
-            f = c * (den // r.den)
-            for k, v in enumerate(r.nums):
-                acc[k] += f * v
-    return _make_ambient(space, tuple(acc), den).key
-
-
-def _attachable_outside(s: list[Root], roots: list[Root], member_keys: set) -> Root:
+def _attachable_outside(s: list[Root], roots: list[Root], member_keys: frozenset) -> Root:
     """A root outside Z(S) meeting some element of S negatively (negating if
     needed); exists because the component is irreducible."""
     for r in roots:

@@ -163,6 +163,21 @@ def test_definiteness_rejects_non_integer_entries():
     assert definiteness([[Q(2), Q(-1)], [Q(-1), Q(2)]]) is PD
 
 
+def test_determinant_inverse_and_kernel_reject_non_integer_entries():
+    # int() would truncate these: det [[1/2]] to 0, inv [[3/2]] to [[1]]
+    with pytest.raises(ValueError, match="integer matrix"):
+        integer_determinant([[Q(1, 2)]])
+    with pytest.raises(ValueError, match="integer matrix"):
+        integer_inverse([[Q(3, 2)]])
+    with pytest.raises(ValueError, match="integer matrix"):
+        primitive_kernel_vector([[2, -1], [-1, Q(1, 2)]])
+    with pytest.raises(ValueError, match="integer matrix"):
+        primitive_kernel_vector([[2, Q(-1, 2)], [Q(-1, 2), 2]])
+    assert integer_determinant([[Q(2), Q(-1)], [Q(-1), Q(2)]]) == 3
+    assert integer_inverse([[Q(2)]]) == ([[1]], 2)
+    assert primitive_kernel_vector([[Q(2), Q(-2)], [Q(-2), Q(2)]]) == (1, 1)
+
+
 def test_definiteness_zero_pivot_cases():
     assert definiteness([[0, 0], [0, 1]]) is PSD
     assert definiteness([[0, 1], [1, 1]]) is INDEF

@@ -4,12 +4,15 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as Q
+from operator import mul
 from pathlib import Path
 
 import pytest
 
+import laced.roots
+from laced.cli import root_set_from_text
 from laced.errors import InvariantError
-from laced.exactlin import Definiteness, definiteness, short_vectors
+from laced.exactlin import Definiteness, definiteness, integer_inverse, short_vectors
 from laced.roots import (
     AmbientSpace,
     DynkinType,
@@ -20,8 +23,9 @@ from laced.roots import (
     _component_base,
     _idot,
     _integral_dot,
+    _make_ambient,
+    _norm_is_2,
     _reflect,
-    _root_system_check,
     ambient_root,
     classify,
     closure,
@@ -272,7 +276,7 @@ def test_closure_idempotent_and_is_root_system():
     seed = rs([1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1])
     c = closure(seed)
     assert closure(c) == c
-    assert _root_system_check(c)  # raw check, bypassing the closure flag
+    assert closure_all_pairs(c) == c
 
 
 def test_closure_e8_simple_roots():
@@ -337,6 +341,49 @@ def closure_all_pairs(s):
                 raise InvariantError(f"inner product {t} out of range")
         i += 1
     return RootSet.of(s.space, sorted(known.values(), key=Root.sort_key), validate=False)
+
+
+def lattice_members(s: list[Root], roots: list[Root]) -> set:
+    """Keys of the roots lying in the integer lattice spanned by S."""
+    gram = [[_idot(a, b) for b in s] for a in s]
+    inv_num, inv_den = integer_inverse(gram)
+    members = set()
+    for r in roots:
+        b = [_idot(x, r) for x in s]
+        coeffs = []
+        ok = True
+        for row in inv_num:
+            num = sum(map(mul, row, b))
+            c, rem = divmod(num, inv_den)
+            if rem:
+                ok = False
+                break
+            coeffs.append(c)
+        if ok and combination_key(s, coeffs) == r.key:
+            members.add(r.key)
+    return members
+
+
+def combination_key(s: list[Root], coeffs: list[int]):
+    """Canonical key of sum(c_i * s_i) without building a Root."""
+    space = s[0].space
+    if type(space) is FormSpace:
+        acc = [0] * space.n
+        for c, r in zip(coeffs, s):
+            if c:
+                for k, v in enumerate(r.dvec):
+                    acc[k] += c * v
+        return tuple(acc)
+    den = 1
+    for r in s:
+        den = den * r.den // math.gcd(den, r.den)
+    acc = [0] * space.dim
+    for c, r in zip(coeffs, s):
+        if c:
+            f = c * (den // r.den)
+            for k, v in enumerate(r.nums):
+                acc[k] += f * v
+    return _make_ambient(space, tuple(acc), den).key
 
 
 def assert_closure_matches_oracle(seed):
@@ -455,6 +502,84 @@ def test_closure_range_check_runs_in_every_mode(flags, tmp_path):
         env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def intrinsic_closure(rows):
+    """Closure of the generators of the Gram form given by its rows."""
+    fs = FormSpace(rows)
+    n = len(rows)
+    return closure(RootSet.of(fs, [lattice_root(fs, [int(k == i) for k in range(n)]) for i in range(n)]))
+
+
+def assert_is_root_system_matches_all_pairs(s):
+    fresh = RootSet.of(s.space, s.roots, validate=False)  # no cached flag
+    want = closure_all_pairs(fresh) == fresh
+    assert is_root_system(fresh) == want
+    return want
+
+
+def test_is_root_system_matches_the_all_pairs_closure():
+    rng = random.Random(31)
+    systems = [gen(f"A{n}") for n in range(1, 9)] + [gen(f"D{n}") for n in range(2, 9)]
+    systems += [gen(label) for label in ("E6", "E7", "E8")] + [direct_sum(["A2", "D4", "E6"])]
+    systems += [intrinsic_closure(rows) for rows in random_semidefinite_graphs(rng, 10)]
+    for phi in systems:
+        assert assert_is_root_system_matches_all_pairs(phi)
+        r = rng.choice(phi.roots)
+        without_root = [x for x in phi.roots if x != r]
+        without_pair = [x for x in without_root if x != -r]
+        assert not assert_is_root_system_matches_all_pairs(RootSet.of(phi.space, without_root, validate=False))
+        if without_pair:
+            kept = assert_is_root_system_matches_all_pairs(RootSet.of(phi.space, without_pair, validate=False))
+            assert kept == (phi is gen("D2"))  # D2 = A1+A1 loses a whole component
+        assert not assert_is_root_system_matches_all_pairs(find_base(phi))
+    assert not is_root_system(RootSet.of(AmbientSpace(2), []))
+    # a norm-4 vector without its negation: closure's range check raises
+    space = AmbientSpace(2)
+    odd = RootSet.of(space, [ambient_root(space, v) for v in ((2, 0), (1, -1), (-1, 1))], validate=False)
+    with pytest.raises(InvariantError):
+        is_root_system(odd)
+
+
+def assert_base_growth_reads_the_lattice(monkeypatch, comp):
+    """Every closure _component_base takes is the set of component roots in
+    the lattice of its seed, by the reference membership test."""
+    calls = []
+
+    def recording(seed):
+        out = closure(seed)
+        calls.append((list(seed.roots), out.keys()))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(laced.roots, "closure", recording)
+        _component_base(comp)
+    assert calls
+    for s, keys in calls:
+        assert keys == lattice_members(s, list(comp.roots))
+    return len(calls)
+
+
+def test_base_growth_membership_matches_the_lattice_reference(monkeypatch):
+    rng = random.Random(13)
+    comps = []
+    for label in [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]:
+        phi = gen(label)
+        comps.append(phi)
+        dim = phi.space.dim
+        for _ in range(4):
+            perm = list(range(dim))
+            rng.shuffle(perm)
+            comps.append(signed_permute(phi, perm, [rng.choice((1, -1)) for _ in range(dim)]))
+    assert any(r.den == 2 for r in gen("E8"))  # the half-integer model
+    text = (Path(__file__).resolve().parent / "golden" / "a2_d4_e6_roots.vec").read_text()
+    comps += components(root_set_from_text(text))
+    forms = random_semidefinite_graphs(rng, 40)
+    kinds = {definiteness(rows) for rows in forms}
+    assert kinds == {Definiteness.POSITIVE_DEFINITE, Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR}
+    comps += [intrinsic_closure(rows) for rows in forms]
+    steps = [assert_base_growth_reads_the_lattice(monkeypatch, comp) for comp in comps]
+    assert max(steps) >= 8
 
 
 # --- find_base ---------------------------------------------------------------
@@ -702,6 +827,18 @@ def test_isometry_matrix_matches_the_fraction_formula():
         assert iso.den > 0 and math.gcd(iso.den, *(v for row in iso.rows for v in row)) == 1
 
 
+def norm_2_vectors(rng, space, den, count):
+    """Random vectors of squared norm 2 with denominator dividing den."""
+    m = math.isqrt(2 * den * den)
+    found = []
+    for head in itertools.product(range(-m, m + 1), repeat=space.dim - 1):
+        rest = 2 * den * den - sum(v * v for v in head)
+        last = math.isqrt(rest) if rest >= 0 else -1
+        if last >= 0 and last * last == rest:
+            found.append(head + (rng.choice((last, -last)),))
+    return [ambient_root(space, [Q(v, den) for v in vec]) for vec in rng.sample(found, min(count, len(found)))]
+
+
 def test_integral_dot_matches_the_rational_inner_product():
     rng = random.Random(5)
     space = AmbientSpace(4)
@@ -715,3 +852,9 @@ def test_integral_dot_matches_the_rational_inner_product():
             assert _integral_dot(x, y) == (x.dot(y).denominator == 1)
             integral += _integral_dot(x, y)
     assert 0 < integral < len(vecs) ** 2
+    # vectors of squared norm 2 over every denominator 1..6; four coordinates admit no 2
+    exact = [r for den in range(1, 7) for r in norm_2_vectors(rng, AmbientSpace(5), den, 10)]
+    assert {r.den for r in exact} == set(range(1, 7))
+    for x in vecs + exact:
+        assert _norm_is_2(x) == (x.norm2() == 2)
+    assert 0 < sum(map(_norm_is_2, vecs + exact)) < len(vecs + exact)
