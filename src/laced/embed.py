@@ -23,11 +23,10 @@ from .roots import (
     DynkinType,
     FormSpace,
     RootSet,
-    ambient_root,
+    _analyze,
+    _unit_roots,
     closure,
     gen,
-    isometry_to_canonical,
-    lattice_root,
 )
 from .spectra import SignedGraph, is_connected, shifted_gram_rows
 
@@ -72,12 +71,13 @@ def embed(g: SignedGraph) -> EmbeddingCertificate:
     if check_least_eigenvalue(g) is Definiteness.INDEFINITE:
         raise ValueError(LEAST_EIGENVALUE_DIAGNOSTIC)
     space = FormSpace._trusted(tuple(tuple(row) for row in shifted_gram_rows(g, 2)))
-    generators = [
-        lattice_root(space, [1 if k == i else 0 for k in range(g.n)]) for i in range(g.n)
-    ]
+    generators = _unit_roots(space)
     seed = RootSet.of(space, generators, validate=False)
     phi = closure(seed)
-    intrinsic, iso = isometry_to_canonical(phi)
+    # phi is irreducible: the generators are connected, and a root system
+    # split into orthogonal parts puts each connected set in one part
+    analysis = _analyze(phi, isometry=True)
+    intrinsic, iso = analysis.type, analysis.isometry
     ambient = _ambient_type(intrinsic)
     vectors = tuple(iso.apply(v).coords for v in generators)
     cert = EmbeddingCertificate(
@@ -117,6 +117,8 @@ def verify_certificate(g: SignedGraph, cert: EmbeddingCertificate) -> bool:
         for j in range(i, g.n):
             if sum(map(mul, nums[i], nums[j])) != expected[i][j] * dens[i] * dens[j]:
                 return False
-    ambient = gen(t)
-    space = ambient.space
-    return all(ambient_root(space, v) in ambient for v in vecs)
+    # (w_i, d_i) is in lowest terms, since each coordinate's Fraction is and
+    # d_i is the lcm of their denominators, so it is the key an ambient root
+    # of the same coordinates carries
+    keys = gen(t).keys()
+    return all(key in keys for key in zip(nums, dens))

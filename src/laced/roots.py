@@ -13,18 +13,18 @@ under its own reflections (s_{w(a)} = w s_a w^-1, so the reflections in the
 roots found add nothing to those in S), grown with |Phi|·|S| sparse inner
 products; the lattice short-vector enumeration in ``exactlin`` stays an
 independent oracle for it.  It is the module's one lattice algorithm: base
-growth reads lattice membership off the closure at every step, and
-is_root_system compares a set with its closure.
+growth reads lattice membership off one orbit that it extends by a root at
+every step, and is_root_system compares a set with its closure.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvariantError
 from .exactlin import (
@@ -238,6 +238,13 @@ def lattice_root(space: FormSpace, coeffs: Sequence[int]) -> Root:
     return _make_lattice_raw(space, nums, dvec)
 
 
+def _unit_roots(space: FormSpace) -> list[Root]:
+    """The generators e_1..e_n of the form as roots; the dvec of e_i is
+    G e_i, which is the i-th Gram row."""
+    n = space.n
+    return [_make_lattice_raw(space, tuple(int(k == i) for k in range(n)), row) for i, row in enumerate(space.gram)]
+
+
 def _idot(x: Root, y: Root) -> int:
     # trusted-path inner product; integrality is an invariant of admitted sets
     s = sum(map(mul, x.nums, y.dvec))
@@ -433,7 +440,9 @@ def gen(t: Union[str, DynkinType]) -> RootSet:
     on +-e_i +- e_j in dimension n, and E8 adds the half-integer vectors with
     an even number of minus signs to D8.  E7 and E6 are cut out of E8 by the
     fixed witnesses a = e7 + e8 and b = (-e1-..-e6+e7+e8)/2, which satisfy
-    <a, b> = 1; the 126 and 72 count oracles pin the choice down.
+    <a, b> = 1; the 126 and 72 count oracles pin the choice down.  The
+    models are built as trusted sets, flagged as root systems; a test checks
+    each against the validated build and the all-pairs closure.
     """
     if isinstance(t, str):
         t = parse_type(t)
@@ -463,7 +472,8 @@ def gen(t: Union[str, DynkinType]) -> RootSet:
             if t.rank == 6:
                 b = _make_ambient_normalized(space, (-1, -1, -1, -1, -1, -1, 1, 1), 2)
                 out = [v for v in out if _idot(v, b) == 0]
-    result = RootSet.of(out[0].space, out, validate=True)
+    # integral norm-2 vectors by construction, and closed under reflection
+    result = RootSet._assembled(out[0].space, sorted(out, key=Root.sort_key), flag=True)
     _GEN_CACHE[t] = result
     return result
 
@@ -584,39 +594,43 @@ def is_root_system(s: RootSet) -> bool:
     return result
 
 
-def closure(s: RootSet) -> RootSet:
-    """Reflection closure: the smallest superset of S u (-S) closed under
-    x -> x - <x,y> y.
+class _Orbit:
+    """The orbit W(S)·S of a growing seed S under its own reflections.
 
-    It is the orbit W(S)·S of the seed under the group generated by the
-    seed's own reflections: s_{w(a)} = w s_a w^-1, so reflecting in a root
-    already found adds nothing that the seed's reflections do not give.
-    The orbit is grown breadth first, each root reflected only in the seed
-    roots, and a seed root already in the orbit of the earlier ones is
-    skipped, since its reflection lies in their group.  That costs at most
-    |Phi|·|S| inner products, each a sum over the seed root's nonzero
-    coefficients.  The result equals the set of norm-2 vectors of the
-    lattice generated by S; the short-vector enumeration in exactlin
-    cross-checks that in tests.
+    s_{w(a)} = w s_a w^-1, so reflecting in a root already found adds
+    nothing that the seed's reflections do not give.  The orbit is grown
+    breadth first, each root reflected only in the seed roots.  The roots
+    found before a seed root is added are closed under the earlier seed
+    roots, so they are reflected in the new one only; a seed root already in
+    the orbit is skipped, since its reflection lies in the group of the
+    others.  That costs at most |Phi|·|S| inner products, each a sum over the
+    seed root's nonzero coefficients.  ``known`` maps the key of every root
+    found to the root.
     """
-    if len(s) == 0:
-        raise ValueError("closure requires a nonempty set")
-    intrinsic = type(s.space) is FormSpace
-    known: dict = {}
-    queue: list[Root] = []  # one root of each +- pair; its negation is in known
-    gens: list[tuple[Root, tuple]] = []  # (seed root, its nonzero (index, coefficient) pairs)
 
-    def add2(r: Root) -> None:
+    __slots__ = ("known", "queue", "gens", "intrinsic")
+
+    def __init__(self, space: Space) -> None:
+        self.known: dict = {}
+        self.queue: list[Root] = []  # one root of each +- pair; its negation is in known
+        self.gens: list[tuple[Root, tuple]] = []  # (seed root, its nonzero (index, coefficient) pairs)
+        self.intrinsic = type(space) is FormSpace
+
+    def _add2(self, r: Root) -> None:
+        known = self.known
         if r.key not in known:
             known[r.key] = r
-            queue.append(r)
+            self.queue.append(r)
             m = -r
             known[m.key] = m
 
-    for g in s.roots:
+    def add(self, g: Root) -> None:
+        """Extend the seed by g and grow the orbit until it is closed again."""
+        known, queue, gens = self.known, self.queue, self.gens
         if g.key in known:
-            continue
-        closed = len(queue)  # these are closed under the earlier generators
+            return
+        add2, intrinsic = self._add2, self.intrinsic
+        closed = len(queue)  # these are closed under the earlier seed roots
         add2(g)
         gens.append((g, tuple((k, c) for k, c in enumerate(g.nums) if c)))
         i = 0
@@ -645,7 +659,24 @@ def closure(s: RootSet) -> RootSet:
                 elif t > 2 or t < -2:
                     raise InvariantError(f"inner product {t} out of range")
             i += 1
-    ordered = sorted(known.values(), key=Root.sort_key)
+
+
+def closure(s: RootSet) -> RootSet:
+    """Reflection closure: the smallest superset of S u (-S) closed under
+    x -> x - <x,y> y.
+
+    It is the orbit W(S)·S of the seed under the group generated by the
+    seed's own reflections, grown one seed root at a time (see _Orbit) and
+    then sorted.  The result equals the set of norm-2 vectors of the lattice
+    generated by S; the short-vector enumeration in exactlin cross-checks
+    that in tests.
+    """
+    if len(s) == 0:
+        raise ValueError("closure requires a nonempty set")
+    orbit = _Orbit(s.space)
+    for g in s.roots:
+        orbit.add(g)
+    ordered = sorted(orbit.known.values(), key=Root.sort_key)
     return RootSet._assembled(s.space, ordered, flag=True)
 
 
@@ -692,18 +723,22 @@ def _component_base(comp: RootSet) -> list[Root]:
     extended set is affine and a marks-1 vertex is exchanged away.  Every
     step strictly enlarges the set of roots captured by the lattice.
 
-    The roots in the lattice Z·S are read off closure(S).  Z·S is an even
+    The roots in the lattice Z·S are the orbit W(S)·S.  Z·S is an even
     lattice generated by norm-2 vectors, hence a sum of ADE root lattices,
     and W(S)·S is all of its norm-2 vectors.  In the intrinsic case this
     holds modulo the radical, where S stays independent because every step
-    keeps Gram(S) nonsingular.
+    keeps Gram(S) nonsingular.  One orbit serves the whole search: each step
+    adds the new root q to it, since Z·(S + q) is the next lattice, and an
+    affine exchange of v leaves the lattice as it is, Z·(U - v) = Z·U.
     """
     roots = list(comp.roots)
     total = len(roots)
     s = [roots[0]]
+    lattice = _Orbit(comp.space)
+    lattice.add(roots[0])
+    member_keys = lattice.known
     captured = -1
     for _ in range(4 * total + 16):
-        member_keys = closure(RootSet._assembled(comp.space, s)).keys()
         if len(member_keys) == total:
             return s
         if len(member_keys) <= captured:
@@ -711,6 +746,7 @@ def _component_base(comp: RootSet) -> list[Root]:
         captured = len(member_keys)
         p = _attachable_outside(s, roots, member_keys)
         q = _deepest_descent(s, p)
+        lattice.add(q)
         u = s + [q]
         gram = [[_idot(a, b) for b in u] for a in u]
         if integer_determinant(gram) != 0:
@@ -720,9 +756,10 @@ def _component_base(comp: RootSet) -> list[Root]:
     raise InvariantError("base search failed to converge")
 
 
-def _attachable_outside(s: list[Root], roots: list[Root], member_keys: frozenset) -> Root:
+def _attachable_outside(s: list[Root], roots: list[Root], member_keys: Container) -> Root:
     """A root outside Z(S) meeting some element of S negatively (negating if
-    needed); exists because the component is irreducible."""
+    needed); exists because the component is irreducible.  member_keys holds
+    the keys of the roots in Z(S)."""
     for r in roots:
         if r.key in member_keys:
             continue
@@ -812,12 +849,18 @@ class Isometry:
     ``den``, with no factor common to both.  It has one column per input
     coordinate (ambient coordinate, or generator of the form); it preserves
     inner products on the span and annihilates its orthogonal complement.
+    ``_columns`` holds the same matrix by columns, so that apply sums only
+    the columns of a root's nonzero coordinates.
     """
 
     rows: tuple[tuple[int, ...], ...]
     den: int
     domain: Space
     codomain: AmbientSpace
+    _columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_columns", tuple(zip(*self.rows)))
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -828,8 +871,15 @@ class Isometry:
     def apply(self, r: Root) -> Root:
         if r.space is not self.domain and r.space != self.domain:
             raise ValueError("root does not belong to the isometry's domain")
-        vec = r.nums
-        return _make_ambient(self.codomain, [sum(map(mul, row, vec)) for row in self.rows], self.den * r.den)
+        acc = [0] * len(self.rows)
+        for c, col in zip(r.nums, self._columns):
+            if c == 1:
+                acc = list(map(add, acc, col))
+            elif c == -1:
+                acc = list(map(sub, acc, col))
+            elif c:
+                acc = [a + c * v for a, v in zip(acc, col)]
+        return _make_ambient(self.codomain, acc, self.den * r.den)
 
 
 def _canonical_base_order(base: Sequence[Root]) -> list[Root]:

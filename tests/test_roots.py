@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ import pytest
 
 import laced.roots
 from laced.cli import root_set_from_text
+from laced.embed import embed
 from laced.errors import InvariantError
 from laced.exactlin import Definiteness, definiteness, integer_inverse, short_vectors
 from laced.roots import (
@@ -184,6 +186,21 @@ def test_gen_counts():
     assert len(gen("E6")) == 72
     assert len(gen("E7")) == 126
     assert len(gen("E8")) == 240
+
+
+def test_gen_equals_the_validated_build_and_its_closure():
+    # gen builds its models as trusted sets: each must equal the validated
+    # build of the same vectors, in the same order, and be reflection-closed
+    labels = [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(2, 13)] + ["E6", "E7", "E8"]
+    counts = {"A": lambda n: n * (n + 1), "D": lambda n: 2 * n * (n - 1), "E": {6: 72, 7: 126, 8: 240}.get}
+    for label in labels:
+        phi = gen(label)
+        t = parse_type(label)
+        assert len(phi) == counts[t.family](t.rank)
+        validated = RootSet.of(phi.space, phi.roots, validate=True)
+        assert [r.key for r in phi] == [r.key for r in validated]
+        fresh = RootSet.of(phi.space, phi.roots, validate=False)  # no cached flag
+        assert closure_all_pairs(fresh) == fresh == phi
 
 
 def test_gen_rejects_bad_labels():
@@ -542,21 +559,23 @@ def test_is_root_system_matches_the_all_pairs_closure():
 
 
 def assert_base_growth_reads_the_lattice(monkeypatch, comp):
-    """Every closure _component_base takes is the set of component roots in
-    the lattice of its seed, by the reference membership test."""
+    """At every base-growth step the member set _component_base reads is the
+    set of component roots in the lattice of S, by the reference membership
+    test, and the lattice of the base it returns holds every root."""
     calls = []
+    attachable = laced.roots._attachable_outside
 
-    def recording(seed):
-        out = closure(seed)
-        calls.append((list(seed.roots), out.keys()))
-        return out
+    def recording(s, roots, member_keys):
+        calls.append((list(s), frozenset(member_keys)))  # the orbit grows on
+        return attachable(s, roots, member_keys)
 
     with monkeypatch.context() as m:
-        m.setattr(laced.roots, "closure", recording)
-        _component_base(comp)
-    assert calls
+        m.setattr(laced.roots, "_attachable_outside", recording)
+        base = _component_base(comp)
+    roots = list(comp.roots)
     for s, keys in calls:
-        assert keys == lattice_members(s, list(comp.roots))
+        assert keys == lattice_members(s, roots)
+    assert lattice_members(base, roots) == comp.keys()
     return len(calls)
 
 
@@ -712,22 +731,61 @@ def test_isometry_preserves_gram_and_fixes_span():
         assert qtq.mul_vec(x.coords) == x.coords
 
 
-def test_isometry_apply_matches_the_rational_matrix():
-    # apply works on integer rows over one denominator; the Fraction matrix
-    # product is the reference, for ambient and for intrinsic domains
-    e6 = signed_permute(gen("E6"), [7, 6, 5, 4, 3, 2, 1, 0], [1, -1, 1, -1, 1, 1, -1, 1])
-    _, iso = isometry_to_canonical(e6)
-    m = RatMatrix(iso.matrix)
-    for r in e6:
-        assert iso.apply(r).coords == m.mul_vec(r.coords)
+def switched_line_graph_of_complete(rng, n):
+    """L(K_n) with its vertices relabelled and switched at random."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    signs = [rng.choice((1, -1)) for _ in pairs]
+    edges = [
+        (i, j, signs[i] * signs[j])
+        for i, j in itertools.combinations(range(len(pairs)), 2)
+        if set(pairs[i]) & set(pairs[j])
+    ]
+    return SignedGraph(len(pairs), edges)
+
+
+def test_isometry_apply_matches_the_rational_matrix(monkeypatch):
+    # apply sums the integer columns of a root's nonzero coordinates over one
+    # denominator; the Fraction matrix product is the reference, for ambient
+    # domains (dense E6 and half-integers; sparse D16 and A12) and for
+    # intrinsic ones (a radical; 28 generators with mostly zero coefficients)
+    rng = random.Random(8)
+    cases = [signed_permute(gen("E6"), [7, 6, 5, 4, 3, 2, 1, 0], [1, -1, 1, -1, 1, 1, -1, 1])]
+    for label in ("D16", "A12"):
+        phi = gen(label)
+        dim = phi.space.dim
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        cases.append(signed_permute(phi, perm, [rng.choice((1, -1)) for _ in range(dim)]))
+    for omega in cases:
+        _, iso = isometry_to_canonical(omega)
+        m = RatMatrix(iso.matrix)
+        for r in omega:
+            assert iso.apply(r).coords == m.mul_vec(r.coords)
     space = FormSpace([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])  # affine A2: a radical
     seed = [lattice_root(space, c) for c in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
-    phi = closure(RootSet.of(space, seed))
-    t, iso = isometry_to_canonical(phi)
-    assert t == DynkinType("A", 2)
-    m = RatMatrix(iso.matrix)
-    for r in phi:
-        assert iso.apply(r).coords == m.mul_vec(r.coeffs)
+    lk8 = switched_line_graph_of_complete(rng, 8)
+    assert lk8.n == 28
+    cases = [(closure(RootSet.of(space, seed)), "A2"), (intrinsic_closure(shifted_gram_rows(lk8, 2)), "D8")]
+    for phi, label in cases:
+        t, iso = isometry_to_canonical(phi)
+        assert t == parse_type(label)
+        m = RatMatrix(iso.matrix)
+        for r in phi:
+            assert iso.apply(r).coords == m.mul_vec(r.coeffs)
+    # embed takes its generators straight from the Gram rows
+    made = []
+
+    def recording(space):
+        out = laced.roots._unit_roots(space)
+        made.append((space, out))
+        return out
+
+    monkeypatch.setattr(importlib.import_module("laced.embed"), "_unit_roots", recording)  # laced.embed is the function
+    assert embed(lk8).intrinsic_type == DynkinType("D", 8)
+    [(form, units)] = made
+    want = [lattice_root(form, [int(k == i) for k in range(form.n)]) for i in range(form.n)]
+    assert [(r.nums, r.dvec, r.key) for r in units] == [(r.nums, r.dvec, r.key) for r in want]
 
 
 def test_isometry_rejects_reducible():
