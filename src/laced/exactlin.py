@@ -1,26 +1,21 @@
 """Exact linear algebra on integer matrices.
 
-Every decision that matters downstream (definiteness, determinant, inverse,
-kernel) is fraction-free elimination in Bareiss form on arbitrary-precision
-integers: each division by the previous pivot is exact, so no rational is
-ever built.  The one exception is the short-vector enumeration, an
-independent test oracle for the reflection closure, whose LDL^T bounds need
-true rationals.  Floating point never appears here; tests cross-check the
-definiteness trichotomy against a floating eigensolver and a rational
-eliminator, but the trusted path is exact.
+Every decision that matters downstream (definiteness, inverse, kernel) is
+fraction-free elimination in Bareiss form on arbitrary-precision integers:
+each division by the previous pivot is exact, so no rational is ever built.
+Floating point never appears here; tests cross-check the definiteness
+trichotomy against a floating eigensolver and a rational eliminator, but the
+trusted path is exact.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from .errors import InvariantError
-
-Q = Fraction
 
 
 class Definiteness(Enum):
@@ -81,96 +76,6 @@ def definiteness(rows: Sequence[Sequence[int]]) -> Definiteness:
     if saw_zero:
         return Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR
     return Definiteness.POSITIVE_DEFINITE
-
-
-def _sqrt_upper(r: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(r) for r >= 0."""
-    return Q(math.isqrt(r.numerator * r.denominator) + 1, r.denominator)
-
-
-def short_vectors(rows: Sequence[Sequence[int]], target) -> list[tuple[int, ...]]:
-    """All integer vectors x with x^T G x == target, for the positive
-    definite integer matrix G given by its rows.
-
-    Bound-propagating enumeration over an exact LDL^T decomposition: the
-    coefficient ranges come from rational square-root over-approximations and
-    every candidate is filtered by the exact form, so completeness never
-    depends on rounding.  The result contains no duplicates and is closed
-    under negation.
-    """
-    if definiteness(rows) is not Definiteness.POSITIVE_DEFINITE:
-        raise ValueError("short vector enumeration requires a positive definite form")
-    t = Q(target)
-    if t < 0:
-        return []
-    n = len(rows)
-    # G = L D L^T with L unit lower triangular, D positive.
-    a = [[Q(x) for x in row] for row in rows]
-    low = [[Q(0)] * n for _ in range(n)]
-    diag = [Q(0)] * n
-    for k in range(n):
-        d = a[k][k]
-        diag[k] = d
-        low[k][k] = Q(1)
-        for i in range(k + 1, n):
-            low[i][k] = a[i][k] / d
-        for i in range(k + 1, n):
-            lik = low[i][k]
-            if lik:
-                ai = a[i]
-                ak = a[k]
-                for j in range(k + 1, n):
-                    ai[j] -= lik * ak[j]
-    results: list[tuple[int, ...]] = []
-    x = [0] * n
-
-    def descend(i: int, rem: Fraction) -> None:
-        # rem = target - sum_{k>i} d_k (x_k + c_k)^2, all remaining terms >= 0
-        if i < 0:
-            if rem == 0:
-                results.append(tuple(x))
-            return
-        c = sum((low[j][i] * x[j] for j in range(i + 1, n)), Q(0))
-        bound = _sqrt_upper(rem / diag[i])
-        lo = math.ceil(-c - bound)
-        hi = math.floor(-c + bound)
-        for v in range(lo, hi + 1):
-            y = v + c
-            used = diag[i] * y * y
-            if used <= rem:
-                x[i] = v
-                descend(i - 1, rem - used)
-        x[i] = 0
-
-    descend(n - 1, t)
-    return sorted(results)
-
-
-def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix (fraction-free Bareiss elimination)."""
-    a = _integer_rows(rows, "integer_determinant")
-    n = len(a)
-    if n == 0 or any(len(r) != n for r in a):
-        raise ValueError("square matrix required")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        akk = a[k][k]
-        ak = a[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (akk * ai[j] - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = akk
-    return sign * a[n - 1][n - 1]
 
 
 def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:

@@ -11,7 +11,7 @@ The reflection closure is the production algorithm for the set of norm-2
 lattice vectors generated by a seed S.  It is the orbit W(S)·S of the seed
 under its own reflections (s_{w(a)} = w s_a w^-1, so the reflections in the
 roots found add nothing to those in S), grown with |Phi|·|S| sparse inner
-products; the lattice short-vector enumeration in ``exactlin`` stays an
+products; a lattice short-vector enumeration in the test suite stays an
 independent oracle for it.  It is the module's one lattice algorithm: base
 growth reads lattice membership off one orbit that it extends by a root at
 every step, and is_root_system compares a set with its closure.
@@ -27,13 +27,7 @@ from operator import add, mul, sub
 from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvariantError
-from .exactlin import (
-    Definiteness,
-    definiteness,
-    integer_determinant,
-    integer_inverse,
-    primitive_kernel_vector,
-)
+from .exactlin import Definiteness, definiteness, integer_inverse
 from .spectra import SignedGraph, connected_without, smith_classify
 
 Q = Fraction
@@ -561,8 +555,9 @@ def components(s: RootSet) -> list[RootSet]:
 def is_obtuse(s: RootSet) -> bool:
     """Linearly independent with all distinct pairwise inner products <= 0.
 
-    Independence is decided by the Gram determinant, which also covers the
-    intrinsic case (independence modulo the radical of the form).
+    A Gram matrix of roots is positive semidefinite, so the roots are
+    independent exactly when it is positive definite; in the intrinsic case
+    that is independence modulo the radical of the form.
     """
     roots = s.roots
     n = len(roots)
@@ -573,7 +568,7 @@ def is_obtuse(s: RootSet) -> bool:
             if _idot(roots[i], roots[j]) > 0:
                 return False
     gram = [[_idot(a, b) for b in roots] for a in roots]
-    return integer_determinant(gram) != 0
+    return definiteness(gram) is Definiteness.POSITIVE_DEFINITE
 
 
 def is_root_system(s: RootSet) -> bool:
@@ -668,8 +663,8 @@ def closure(s: RootSet) -> RootSet:
     It is the orbit W(S)·S of the seed under the group generated by the
     seed's own reflections, grown one seed root at a time (see _Orbit) and
     then sorted.  The result equals the set of norm-2 vectors of the lattice
-    generated by S; the short-vector enumeration in exactlin cross-checks
-    that in tests.
+    generated by S, which a short-vector enumeration in the test suite
+    cross-checks.
     """
     if len(s) == 0:
         raise ValueError("closure requires a nonempty set")
@@ -719,9 +714,10 @@ def _component_base(comp: RootSet) -> list[Root]:
 
     Maintain an indecomposable obtuse set S.  While some root lies outside
     the lattice of S, descend from an attachable outside root to the deepest
-    root still meeting S negatively; either S grows independently, or the
-    extended set is affine and a marks-1 vertex is exchanged away.  Every
-    step strictly enlarges the set of roots captured by the lattice.
+    root q still meeting S negatively, and read the step off the Dynkin
+    shape of U = S + [q] (see _grown): a finite shape is kept whole, an
+    affine one drops a marks-1 vertex.  Every step strictly enlarges the set
+    of roots captured by the lattice.
 
     The roots in the lattice Z·S are the orbit W(S)·S.  Z·S is an even
     lattice generated by norm-2 vectors, hence a sum of ADE root lattices,
@@ -747,13 +743,38 @@ def _component_base(comp: RootSet) -> list[Root]:
         p = _attachable_outside(s, roots, member_keys)
         q = _deepest_descent(s, p)
         lattice.add(q)
-        u = s + [q]
-        gram = [[_idot(a, b) for b in u] for a in u]
-        if integer_determinant(gram) != 0:
-            s = u
-        else:
-            s = _affine_exchange(u, gram)
+        s = _grown(s + [q])
     raise InvariantError("base search failed to converge")
+
+
+def _grown(u: list[Root]) -> list[Root]:
+    """The obtuse set that replaces S once q is attached, U = S + [q].
+
+    U must be obtuse, so that Gram(U) is 2I - A for the unsigned graph of U.
+    U is connected and its Gram matrix is positive semidefinite, so that
+    graph is a finite Dynkin shape exactly when U is independent, and an
+    affine one otherwise; smith_classify decides which, and gives the marks.
+    Any other outcome is a bug, not bad input.
+    """
+    n = len(u)
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            t = _idot(u[i], u[j])
+            if t == -1:
+                pairs.append((i, j))
+            elif t:
+                raise InvariantError(f"extended set is not obtuse: <u{i}, u{j}> = {t}")
+    g = SignedGraph.unsigned(n, pairs)
+    try:
+        st = smith_classify(g)
+    except ValueError as e:
+        raise InvariantError(f"extended set has no Dynkin shape: {e}")
+    if st.kind == "finite":
+        return u
+    if st.kind == "affine":
+        return _affine_exchange(u, g, st.marks)
+    raise InvariantError(f"extended set classified as {st.label}")
 
 
 def _attachable_outside(s: list[Root], roots: list[Root], member_keys: Container) -> Root:
@@ -796,29 +817,18 @@ def _deepest_descent(s: list[Root], p: Root) -> Root:
     return best
 
 
-def _affine_exchange(u: list[Root], gram: list[list[int]]) -> list[Root]:
+def _affine_exchange(u: list[Root], g: SignedGraph, alpha: tuple[int, ...]) -> list[Root]:
     """Replace the dependent obtuse set U = S + [q] by an independent one.
 
-    Gram(U) equals 2I - A for the unsigned graph on U, so its kernel is
-    spanned by the marks vector alpha; the vertex with alpha = 1 whose
-    removal keeps the graph connected (lowest index first) is generated by
-    the rest and can be dropped.
+    g is the affine graph of U and alpha its marks vector, which spans the
+    kernel of Gram(U) = 2I - A; the vertex with alpha = 1 whose removal
+    keeps g connected (lowest index first) is generated by the rest and can
+    be dropped.
     """
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram[i][j] not in (0, -1):
-                raise InvariantError(f"extended set is not obtuse: gram[{i}][{j}] = {gram[i][j]}")
-    try:
-        alpha = primitive_kernel_vector(gram)  # the minor leaving out q is Gram(S)
-    except ValueError as e:
-        raise InvariantError(f"affine kernel is not one-dimensional: {e}")
-    if any(a <= 0 for a in alpha) or min(alpha) != 1:
-        raise InvariantError(f"affine marks are not positive with minimum 1: {alpha}")
     if alpha[-1] == 1:
         raise InvariantError("the freshly attached root cannot carry mark 1")
-    adj = graph_of(u).neighbor_sets()
-    for idx in range(n - 1):
+    adj = g.neighbor_sets()
+    for idx in range(len(u) - 1):
         if alpha[idx] == 1 and connected_without(adj, idx):
             return u[:idx] + u[idx + 1 :]
     raise InvariantError("no marks-1 vertex keeps the graph connected")

@@ -86,6 +86,8 @@ def two_i_minus_adjacency_rows(g: SignedGraph) -> list[list[int]]:
 
 
 def is_connected(g: SignedGraph) -> bool:
+    if len(g.edges) < g.n - 1:
+        return False  # decided before building one set per vertex
     adj = g.neighbor_sets()
     seen = {0}
     stack = [0]

@@ -4,8 +4,9 @@ The package works on integer matrices only.  The rational matrix toolkit it
 used before lives on here unchanged, as an independent reference: RatMatrix
 with rank, solve, kernel_basis and primitive_integer_vector, the signed
 adjacency as a RatMatrix, the symmetric elimination with Fraction pivots that
-integer definiteness must agree with, and the Fraction formula for the
-isometry matrix.
+integer definiteness must agree with, the Fraction formula for the isometry
+matrix, and the short-vector enumeration that is an independent oracle for
+the reflection closure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from laced.exactlin import Definiteness, integer_inverse
+from laced.exactlin import Definiteness, definiteness, integer_inverse
 from laced.roots import AmbientSpace, FormSpace, _canonical_base_order, _canonical_ordered_base, _idot
 from laced.spectra import SignedGraph
 
@@ -250,3 +251,66 @@ def isometry_matrix(omega, base, t) -> tuple[tuple[Fraction, ...], ...]:
         tuple(sum(y_cols[a][i] * coeff_rows[a][k] for a in range(m)) for k in range(in_dim))
         for i in range(codomain.dim)
     )
+
+
+def _sqrt_upper(r: Fraction) -> Fraction:
+    """A rational upper bound on sqrt(r) for r >= 0."""
+    return Q(math.isqrt(r.numerator * r.denominator) + 1, r.denominator)
+
+
+def short_vectors(rows: Sequence[Sequence[int]], target) -> list[tuple[int, ...]]:
+    """All integer vectors x with x^T G x == target, for the positive
+    definite integer matrix G given by its rows.
+
+    Bound-propagating enumeration over an exact LDL^T decomposition: the
+    coefficient ranges come from rational square-root over-approximations and
+    every candidate is filtered by the exact form, so completeness never
+    depends on rounding.  The result contains no duplicates and is closed
+    under negation.
+    """
+    if definiteness(rows) is not Definiteness.POSITIVE_DEFINITE:
+        raise ValueError("short vector enumeration requires a positive definite form")
+    t = Q(target)
+    if t < 0:
+        return []
+    n = len(rows)
+    # G = L D L^T with L unit lower triangular, D positive.
+    a = [[Q(x) for x in row] for row in rows]
+    low = [[Q(0)] * n for _ in range(n)]
+    diag = [Q(0)] * n
+    for k in range(n):
+        d = a[k][k]
+        diag[k] = d
+        low[k][k] = Q(1)
+        for i in range(k + 1, n):
+            low[i][k] = a[i][k] / d
+        for i in range(k + 1, n):
+            lik = low[i][k]
+            if lik:
+                ai = a[i]
+                ak = a[k]
+                for j in range(k + 1, n):
+                    ai[j] -= lik * ak[j]
+    results: list[tuple[int, ...]] = []
+    x = [0] * n
+
+    def descend(i: int, rem: Fraction) -> None:
+        # rem = target - sum_{k>i} d_k (x_k + c_k)^2, all remaining terms >= 0
+        if i < 0:
+            if rem == 0:
+                results.append(tuple(x))
+            return
+        c = sum((low[j][i] * x[j] for j in range(i + 1, n)), Q(0))
+        bound = _sqrt_upper(rem / diag[i])
+        lo = math.ceil(-c - bound)
+        hi = math.floor(-c + bound)
+        for v in range(lo, hi + 1):
+            y = v + c
+            used = diag[i] * y * y
+            if used <= rem:
+                x[i] = v
+                descend(i - 1, rem - used)
+        x[i] = 0
+
+    descend(n - 1, t)
+    return sorted(results)

@@ -20,7 +20,7 @@ import pytest
 
 from laced.cli import main as cli_main
 from laced.embed import check_least_eigenvalue, embed, verify_certificate
-from laced.exactlin import Definiteness, definiteness, short_vectors
+from laced.exactlin import Definiteness, definiteness
 from laced.roots import (
     FormSpace,
     RootSet,
@@ -43,7 +43,7 @@ from laced.spectra import (
     two_i_minus_adjacency_rows,
 )
 from graphgen import connected_graphs_up_to
-from ratref import RatMatrix
+from ratref import RatMatrix, short_vectors
 from shapes import affine_shape, finite_shape
 
 PD = Definiteness.POSITIVE_DEFINITE

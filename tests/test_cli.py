@@ -391,6 +391,27 @@ def _run_python(flags, argv, repo, cwd):
     )
 
 
+def test_huge_edge_free_header_fails_without_allocating(tmp_path):
+    # the child may map at most 256 MiB, far less than one object per vertex
+    repo = Path(__file__).resolve().parents[1]
+    graph = tmp_path / "huge.sg"
+    graph.write_text("1000000000000 0\n")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from laced.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    for cmd, line in [
+        ("embed", "error: embedding requires a connected graph\n"),
+        ("smith", "error: graph is not connected\n"),
+    ]:
+        proc = _run_python(["-c", script], [cmd, str(graph)], repo, tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == line
+
+
 def test_optimized_mode_gives_the_same_bytes(tmp_path):
     # the command list of acceptance criterion 8, with and without -O
     repo = Path(__file__).resolve().parents[1]

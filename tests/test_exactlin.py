@@ -7,16 +7,17 @@ from operator import mul
 import numpy as np
 import pytest
 
-from laced.exactlin import (
-    Definiteness,
-    definiteness,
-    integer_determinant,
-    integer_inverse,
-    primitive_kernel_vector,
-    short_vectors,
-)
+from laced.exactlin import Definiteness, definiteness, integer_inverse, primitive_kernel_vector
 from laced.spectra import two_i_minus_adjacency_rows
-from ratref import RatMatrix, kernel_basis, primitive_integer_vector, rank, rational_definiteness, solve
+from ratref import (
+    RatMatrix,
+    kernel_basis,
+    primitive_integer_vector,
+    rank,
+    rational_definiteness,
+    short_vectors,
+    solve,
+)
 from shapes import affine_shape, finite_shape
 
 PD = Definiteness.POSITIVE_DEFINITE
@@ -164,16 +165,13 @@ def test_definiteness_rejects_non_integer_entries():
 
 
 def test_determinant_inverse_and_kernel_reject_non_integer_entries():
-    # int() would truncate these: det [[1/2]] to 0, inv [[3/2]] to [[1]]
-    with pytest.raises(ValueError, match="integer matrix"):
-        integer_determinant([[Q(1, 2)]])
+    # int() would truncate this: inv [[3/2]] to [[1]]
     with pytest.raises(ValueError, match="integer matrix"):
         integer_inverse([[Q(3, 2)]])
     with pytest.raises(ValueError, match="integer matrix"):
         primitive_kernel_vector([[2, -1], [-1, Q(1, 2)]])
     with pytest.raises(ValueError, match="integer matrix"):
         primitive_kernel_vector([[2, Q(-1, 2)], [Q(-1, 2), 2]])
-    assert integer_determinant([[Q(2), Q(-1)], [Q(-1), Q(2)]]) == 3
     assert integer_inverse([[Q(2)]]) == ([[1]], 2)
     assert primitive_kernel_vector([[Q(2), Q(-2)], [Q(-2), Q(2)]]) == (1, 1)
 
@@ -275,25 +273,13 @@ def test_short_vectors_nonstandard_target():
 # --- integer helpers ----------------------------------------------------
 
 
-def test_integer_determinant():
-    assert integer_determinant([[1, 0], [0, 1]]) == 1
-    assert integer_determinant([[2, -1], [-1, 2]]) == 3
-    assert integer_determinant(TRIANGLE_GRAM) == 0
-    rng = random.Random(707)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        want = round(float(np.linalg.det(np.array(rows, dtype=float))))
-        assert integer_determinant(rows) == want
-
-
 def test_integer_inverse_round_trip():
     rng = random.Random(808)
     done = 0
     while done < 20:
         n = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if integer_determinant(rows) == 0:
+        if fraction_inverse(rows) is None:
             with pytest.raises(ValueError):
                 integer_inverse(rows)
             continue
@@ -442,6 +428,7 @@ def test_kernel_vector_of_every_affine_shape():
 
 def test_kernel_vector_of_affine_exchange_grams(monkeypatch):
     import laced.roots
+    import laced.spectra
 
     met = []
 
@@ -449,7 +436,7 @@ def test_kernel_vector_of_affine_exchange_grams(monkeypatch):
         met.append([list(r) for r in rows])
         return primitive_kernel_vector(rows)
 
-    monkeypatch.setattr(laced.roots, "primitive_kernel_vector", recording)
+    monkeypatch.setattr(laced.spectra, "primitive_kernel_vector", recording)
     rng = random.Random(2008)
     labels = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 9)] + ["E6", "E7", "E8"]
     for label in labels:

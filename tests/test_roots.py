@@ -14,7 +14,7 @@ import laced.roots
 from laced.cli import root_set_from_text
 from laced.embed import embed
 from laced.errors import InvariantError
-from laced.exactlin import Definiteness, definiteness, integer_inverse, short_vectors
+from laced.exactlin import Definiteness, definiteness, integer_inverse
 from laced.roots import (
     AmbientSpace,
     DynkinType,
@@ -46,7 +46,7 @@ from laced.roots import (
     signed_permute,
 )
 from laced.spectra import SignedGraph, is_connected, shifted_gram_rows, smith_classify, two_i_minus_adjacency_rows
-from ratref import RatMatrix, isometry_matrix
+from ratref import RatMatrix, isometry_matrix, kernel_basis, primitive_integer_vector, rank, short_vectors
 
 # Fixed simple system for E8: a path a1-a3-a4-...-a8 with a2 attached at a4,
 # verified below by closure against the canonical 240.
@@ -561,22 +561,55 @@ def test_is_root_system_matches_the_all_pairs_closure():
 def assert_base_growth_reads_the_lattice(monkeypatch, comp):
     """At every base-growth step the member set _component_base reads is the
     set of component roots in the lattice of S, by the reference membership
-    test, and the lattice of the base it returns holds every root."""
+    test, and the lattice of the base it returns holds every root.
+
+    Every extended set U = S + [q] is classified finite exactly when its
+    Gram matrix has full rank, and then kept whole; an affine U carries the
+    reference kernel vector as its marks and loses one marks-1 root.
+    Returns the number of steps and the set of shape kinds seen."""
     calls = []
+    grown = []
+    shapes = []
     attachable = laced.roots._attachable_outside
+    grow = laced.roots._grown
+    classify_shape = laced.roots.smith_classify
 
     def recording(s, roots, member_keys):
         calls.append((list(s), frozenset(member_keys)))  # the orbit grows on
         return attachable(s, roots, member_keys)
 
+    def growing(u):
+        out = grow(u)
+        grown.append((list(u), out))
+        return out
+
+    def classifying(g):
+        st = classify_shape(g)
+        shapes.append(st)
+        return st
+
     with monkeypatch.context() as m:
         m.setattr(laced.roots, "_attachable_outside", recording)
+        m.setattr(laced.roots, "_grown", growing)
+        m.setattr(laced.roots, "smith_classify", classifying)
         base = _component_base(comp)
+    assert len(shapes) == len(grown)
+    for (u, out), st in zip(grown, shapes):
+        gram = RatMatrix([[inner_product(a, b) for b in u] for a in u])
+        assert (st.kind == "finite") == (rank(gram) == len(u))
+        if st.kind == "finite":
+            assert out == u
+        else:
+            assert st.kind == "affine"
+            assert st.marks == primitive_integer_vector(kernel_basis(gram)[0])
+            assert len(out) == len(u) - 1
+            dropped = next(i for i, r in enumerate(u) if r not in out)
+            assert st.marks[dropped] == 1
     roots = list(comp.roots)
     for s, keys in calls:
         assert keys == lattice_members(s, roots)
     assert lattice_members(base, roots) == comp.keys()
-    return len(calls)
+    return len(calls), {st.kind for st in shapes}
 
 
 def test_base_growth_membership_matches_the_lattice_reference(monkeypatch):
@@ -597,8 +630,24 @@ def test_base_growth_membership_matches_the_lattice_reference(monkeypatch):
     kinds = {definiteness(rows) for rows in forms}
     assert kinds == {Definiteness.POSITIVE_DEFINITE, Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR}
     comps += [intrinsic_closure(rows) for rows in forms]
-    steps = [assert_base_growth_reads_the_lattice(monkeypatch, comp) for comp in comps]
-    assert max(steps) >= 8
+    results = [assert_base_growth_reads_the_lattice(monkeypatch, comp) for comp in comps]
+    assert max(steps for steps, _ in results) >= 8
+    assert set().union(*(shapes for _, shapes in results)) == {"finite", "affine"}
+
+
+def test_base_growth_step_rejects_a_set_without_a_dynkin_shape():
+    # an internal bug, so InvariantError (exit code 3), not the ValueError
+    # smith_classify raises for a disconnected graph
+    space = AmbientSpace(3)
+    a, b = ambient_root(space, (1, -1, 0)), ambient_root(space, (1, 0, -1))
+    assert inner_product(a, b) == 1
+    with pytest.raises(InvariantError, match="not obtuse"):
+        laced.roots._grown([a, b])
+    space = AmbientSpace(4)
+    x, y = ambient_root(space, (1, -1, 0, 0)), ambient_root(space, (0, 0, 1, -1))
+    assert inner_product(x, y) == 0
+    with pytest.raises(InvariantError, match="not connected"):
+        laced.roots._grown([x, y])
 
 
 # --- find_base ---------------------------------------------------------------

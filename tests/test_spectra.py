@@ -158,3 +158,13 @@ def test_is_connected():
     assert is_connected(path_graph(5))
     assert not is_connected(SignedGraph(4, [(0, 1, 1), (2, 3, 1)]))
     assert is_connected(SignedGraph(1, []))
+
+
+def test_is_connected_counts_edges_before_building_neighbor_sets(monkeypatch):
+    # a graph with fewer than n - 1 edges is disconnected; deciding that must
+    # not build one set per vertex of a huge header
+    def refuse(g):
+        raise AssertionError(f"neighbor sets built for n = {g.n}")
+
+    monkeypatch.setattr(SignedGraph, "neighbor_sets", refuse)
+    assert not is_connected(SignedGraph(10**12, []))
