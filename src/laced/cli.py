@@ -3,8 +3,11 @@
 Commands: gen, close, base, classify, embed, smith.  Vector-set files hold
 one whitespace-separated rational vector per line ('#' starts a comment);
 signed-graph files start with a header line "n m" followed by m lines
-"u v s" with 0-based vertex ids and s in {+,-}.  All output is deterministic;
-rationals serialize as "p/q" (or "p"), never as floating point.
+"u v s" with 0-based vertex ids and s in {+,-}.  Each distinct token of a
+vector file is read once by fractions.Fraction; from there a vector is
+integer numerators over one denominator, so the norm and pairwise checks are
+integer work.  All output is deterministic; rationals serialize as "p/q" (or
+"p"), never as floating point.
 
 Exit codes: 0 success, 1 domain error (e.g. least eigenvalue below -2,
 vectors of the wrong norm), 2 parse or usage error, 3 internal error (a
@@ -27,9 +30,10 @@ from .roots import (
     Root,
     RootSet,
     _analyze,
-    _integral_dot,
+    _first_nonintegral_pair,
+    _make_ambient_normalized,
     _norm_is_2,
-    ambient_root,
+    _scaled,
     closure,
     components,
     find_base,
@@ -38,8 +42,6 @@ from .roots import (
     parse_type,
 )
 from .spectra import SignedGraph, smith_classify
-
-Q = Fraction
 
 
 class ParseError(ValueError):
@@ -60,42 +62,52 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_vector_file(text: str) -> list[tuple[int, tuple[Fraction, ...]]]:
-    """Parse a vector-set file into (line number, vector) pairs."""
-    rows: list[tuple[int, tuple[Fraction, ...]]] = []
+def parse_vector_file(text: str) -> list[tuple[int, tuple[tuple[int, ...], int]]]:
+    """Parse a vector-set file into (line number, (nums, den)) pairs: each
+    vector as lowest-terms integer numerators over one positive denominator.
+
+    Every token is read by fractions.Fraction, once per distinct token.
+    """
+    ratios: dict[str, tuple[int, int]] = {}
+    rows: list[tuple[int, tuple[tuple[int, ...], int]]] = []
     for lineno, line in _meaningful_lines(text):
-        toks = line.split()
-        try:
-            vec = tuple(Q(tok) for tok in toks)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"line {lineno}: cannot parse rational vector {line!r}")
-        rows.append((lineno, vec))
+        row = []
+        for tok in line.split():
+            pq = ratios.get(tok)
+            if pq is None:
+                try:
+                    x = Fraction(tok)
+                except (ValueError, ZeroDivisionError):
+                    raise ParseError(f"line {lineno}: cannot parse rational vector {line!r}")
+                pq = ratios[tok] = (x.numerator, x.denominator)
+            row.append(pq)
+        rows.append((lineno, _scaled(row)))
     if not rows:
         raise ParseError("input contains no vectors")
-    width = len(rows[0][1])
-    for lineno, vec in rows:
-        if len(vec) != width:
-            raise ParseError(f"line {lineno}: expected {width} entries, got {len(vec)}")
+    width = len(rows[0][1][0])
+    for lineno, (nums, _) in rows:
+        if len(nums) != width:
+            raise ParseError(f"line {lineno}: expected {width} entries, got {len(nums)}")
     return rows
 
 
 def root_set_from_text(text: str) -> RootSet:
     """Parse and validate a vector-set file, attributing errors to lines."""
     rows = parse_vector_file(text)
-    space = AmbientSpace(len(rows[0][1]))
-    roots: list[tuple[int, Root]] = []
-    for lineno, vec in rows:
-        r = ambient_root(space, vec)
+    space = AmbientSpace(len(rows[0][1][0]))
+    roots: list[Root] = []
+    for lineno, (nums, den) in rows:
+        r = _make_ambient_normalized(space, nums, den)
         if not _norm_is_2(r):
             raise ValueError(f"line {lineno}: vector has squared norm {r.norm2()}, expected 2")
-        roots.append((lineno, r))
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            li, x = roots[i]
-            lj, y = roots[j]
-            if not _integral_dot(x, y):
-                raise ValueError(f"lines {li} and {lj}: non-integer inner product {x.dot(y)}")
-    return RootSet.of(space, [r for _, r in roots], validate=False)
+        roots.append(r)
+    pair = _first_nonintegral_pair(roots)
+    if pair is not None:
+        i, j = pair
+        raise ValueError(
+            f"lines {rows[i][0]} and {rows[j][0]}: non-integer inner product {roots[i].dot(roots[j])}"
+        )
+    return RootSet.of(space, roots, validate=False)
 
 
 def parse_graph_file(text: str) -> SignedGraph:

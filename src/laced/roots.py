@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvariantError
 from .exactlin import Definiteness, definiteness, integer_inverse
@@ -144,6 +145,9 @@ class Root:
         return Q(sum(map(mul, self.nums, other.dvec)), self.den * other.den)
 
     def sort_key(self):
+        """The order of roots in every sorted output: ambient roots by their
+        rational coordinates, intrinsic roots by key.  The package sorts with
+        _order_key, which gives the same order in integers."""
         if type(self.space) is FormSpace:
             return self.key
         if self.den == 1:
@@ -169,6 +173,20 @@ class Root:
         if self.is_ambient:
             return f"Root({' '.join(str(Q(v, self.den)) for v in self.nums)})"
         return f"Root(coeffs={list(self.nums)})"
+
+
+def _order_key(roots: Collection[Root]) -> Callable[[Root], tuple]:
+    """A key that orders these roots exactly as Root.sort_key does, in integers.
+
+    Ambient coordinates are compared scaled to the lcm L of the roots'
+    denominators, nums * (L // den), which orders them as the rationals
+    nums / den do.  When L is 1 (every intrinsic root, and ambient roots with
+    integer coordinates) Root.sort_key is already an integer key.
+    """
+    lcm = math.lcm(*{r.den for r in roots})
+    if lcm == 1:
+        return Root.sort_key
+    return lambda r: r.nums if r.den == lcm else tuple(v * (lcm // r.den) for v in r.nums)
 
 
 def _make_ambient_normalized(space: AmbientSpace, nums: tuple[int, ...], den: int) -> Root:
@@ -211,15 +229,28 @@ def _make_lattice_raw(space: FormSpace, nums: tuple[int, ...], dvec: tuple[int, 
     return r
 
 
+def _scaled(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """Coordinates given as lowest-terms ratios (p, q), q >= 1, as scaled
+    integers (nums, den) over den = lcm of the q.
+
+    The result is in lowest terms: a prime dividing den divides some q to
+    the full power it has in den, and that coordinate's p is prime to it.
+    """
+    den = 1
+    for _, q in ratios:
+        if q != 1:
+            den = den * q // math.gcd(den, q)
+    if den == 1:
+        return tuple(p for p, _ in ratios), 1
+    return tuple(p * (den // q) for p, q in ratios), den
+
+
 def ambient_root(space: AmbientSpace, coords: Sequence) -> Root:
     """Build an ambient root from exact rational coordinates."""
     fracs = [Q(x) for x in coords]
     if len(fracs) != space.dim:
         raise ValueError(f"expected {space.dim} coordinates, got {len(fracs)}")
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    nums = tuple(int(x * den) for x in fracs)
+    nums, den = _scaled([(x.numerator, x.denominator) for x in fracs])
     return _make_ambient_normalized(space, nums, den)
 
 
@@ -257,6 +288,22 @@ def _integral_dot(x: Root, y: Root) -> bool:
     both are 1."""
     dd = x.den * y.den
     return dd == 1 or sum(map(mul, x.nums, y.dvec)) % dd == 0
+
+
+def _first_nonintegral_pair(roots: Sequence[Root]) -> Optional[tuple[int, int]]:
+    """The first (i, j), i < j, in row order whose inner product is not an
+    integer, or None.  Pairs of two denominator-1 roots are skipped, since
+    their inner product is always an integer."""
+    frac = [i for i, r in enumerate(roots) if r.den != 1]
+    if not frac:
+        return None
+    n = len(roots)
+    for i, x in enumerate(roots):
+        partners = range(i + 1, n) if x.den != 1 else frac[bisect_right(frac, i) :]
+        for j in partners:
+            if not _integral_dot(x, roots[j]):
+                return i, j
+    return None
 
 
 def _norm_is_2(r: Root) -> bool:
@@ -315,17 +362,15 @@ class RootSet:
             if validate and not _norm_is_2(r):
                 raise ValueError(f"vector {i} has squared norm {r.norm2()}, expected 2")
             unique.setdefault(r.key, r)
-        ordered = sorted(unique.values(), key=Root.sort_key)
+        distinct = unique.values()
+        ordered = sorted(distinct, key=_order_key(distinct))
         if validate:
-            n = len(ordered)
-            for i in range(n):
-                x = ordered[i]
-                for j in range(i + 1, n):
-                    y = ordered[j]
-                    if not _integral_dot(x, y):
-                        raise ValueError(
-                            f"vectors {i} and {j} have non-integer inner product {x.dot(y)}"
-                        )
+            pair = _first_nonintegral_pair(ordered)
+            if pair is not None:
+                i, j = pair
+                raise ValueError(
+                    f"vectors {i} and {j} have non-integer inner product {ordered[i].dot(ordered[j])}"
+                )
         return cls._assembled(space, ordered)
 
     @classmethod
@@ -467,7 +512,7 @@ def gen(t: Union[str, DynkinType]) -> RootSet:
                 b = _make_ambient_normalized(space, (-1, -1, -1, -1, -1, -1, 1, 1), 2)
                 out = [v for v in out if _idot(v, b) == 0]
     # integral norm-2 vectors by construction, and closed under reflection
-    result = RootSet._assembled(out[0].space, sorted(out, key=Root.sort_key), flag=True)
+    result = RootSet._assembled(out[0].space, sorted(out, key=_order_key(out)), flag=True)
     _GEN_CACHE[t] = result
     return result
 
@@ -671,8 +716,8 @@ def closure(s: RootSet) -> RootSet:
     orbit = _Orbit(s.space)
     for g in s.roots:
         orbit.add(g)
-    ordered = sorted(orbit.known.values(), key=Root.sort_key)
-    return RootSet._assembled(s.space, ordered, flag=True)
+    found = orbit.known.values()
+    return RootSet._assembled(s.space, sorted(found, key=_order_key(found)), flag=True)
 
 
 def _require_root_system(s: RootSet) -> None:
@@ -698,7 +743,7 @@ def _analyze(comp: RootSet, isometry: bool = False) -> _Analysis:
     base = _component_base(comp)
     t = _base_type(base)
     iso = _isometry(comp, base, t) if isometry else None
-    return _Analysis(tuple(sorted(base, key=Root.sort_key)), t, iso)
+    return _Analysis(tuple(sorted(base, key=_order_key(base))), t, iso)
 
 
 def find_base(phi: RootSet) -> RootSet:
@@ -706,7 +751,7 @@ def find_base(phi: RootSet) -> RootSet:
     component, generating phi over the integers (so closure(base) == phi)."""
     _require_root_system(phi)
     out = [r for comp in components(phi) for r in _analyze(comp).base]
-    return RootSet._assembled(phi.space, sorted(out, key=Root.sort_key))
+    return RootSet._assembled(phi.space, sorted(out, key=_order_key(out)))
 
 
 def _component_base(comp: RootSet) -> list[Root]:
@@ -810,7 +855,7 @@ def _deepest_descent(s: list[Root], p: Root) -> Root:
                         nxt.append(z)
         qualified = [z for z in nxt if any(_idot(z, x) < 0 for x in s)]
         if qualified:
-            best = min(qualified, key=Root.sort_key)
+            best = min(qualified, key=_order_key(qualified))
         frontier = nxt
     if any(_idot(best, x) not in (-1, 0) for x in s):
         raise InvariantError("descent left a positive inner product")
@@ -905,9 +950,10 @@ def _canonical_base_order(base: Sequence[Root]) -> list[Root]:
         return list(base)
     adj = graph_of(base).neighbor_sets()
     degs = [len(a) for a in adj]
+    key = _order_key(base)
     if max(degs) <= 2:
         ends = [i for i in range(n) if degs[i] <= 1]
-        start = min(ends, key=lambda i: base[i].sort_key())
+        start = min(ends, key=lambda i: key(base[i]))
         order = [start]
         prev, cur = -1, start
         while len(order) < n:
@@ -925,7 +971,7 @@ def _canonical_base_order(base: Sequence[Root]) -> list[Root]:
             leg.append(nxt)
             prev, cur = cur, nxt
         legs.append(leg)
-    legs.sort(key=lambda leg: (len(leg), [base[i].sort_key() for i in leg]))
+    legs.sort(key=lambda leg: (len(leg), [key(base[i]) for i in leg]))
     order = [center]
     for leg in legs:
         order.extend(leg)
@@ -1014,4 +1060,4 @@ def signed_permute(s: RootSet, perm: Sequence[int], signs: Sequence[int]) -> Roo
         nums = tuple(signs[i] * r.nums[perm[i]] for i in range(dim))
         out.append(_make_ambient_normalized(s.space, nums, r.den))
     flag = True if s._flag is True else None
-    return RootSet._assembled(s.space, sorted(out, key=Root.sort_key), flag=flag)
+    return RootSet._assembled(s.space, sorted(out, key=_order_key(out)), flag=flag)

@@ -86,8 +86,13 @@ def two_i_minus_adjacency_rows(g: SignedGraph) -> list[list[int]]:
 
 
 def is_connected(g: SignedGraph) -> bool:
+    return _connected_neighbor_sets(g) is not None
+
+
+def _connected_neighbor_sets(g: SignedGraph) -> Optional[list[set[int]]]:
+    """g's neighbor sets when g is connected, otherwise None."""
     if len(g.edges) < g.n - 1:
-        return False  # decided before building one set per vertex
+        return None  # decided before building one set per vertex
     adj = g.neighbor_sets()
     seen = {0}
     stack = [0]
@@ -97,7 +102,7 @@ def is_connected(g: SignedGraph) -> bool:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen) == g.n
+    return adj if len(seen) == g.n else None
 
 
 def connected_without(adj: list[set[int]], skip: int) -> bool:
@@ -157,10 +162,9 @@ _FINITE_LEGS = {(1, 2, 2): 6, (1, 2, 3): 7, (1, 2, 4): 8}
 _AFFINE_LEGS = {(2, 2, 2): 6, (1, 3, 3): 7, (1, 2, 5): 8}
 
 
-def _recognize(g: SignedGraph) -> tuple[str, Optional[str], Optional[int]]:
+def _recognize(g: SignedGraph, adj: list[set[int]]) -> tuple[str, Optional[str], Optional[int]]:
     n = g.n
     m = len(g.edges)
-    adj = g.neighbor_sets()
     degs = [len(a) for a in adj]
     maxdeg = max(degs)
     if m == n and maxdeg == 2:
@@ -197,18 +201,19 @@ def _recognize(g: SignedGraph) -> tuple[str, Optional[str], Optional[int]]:
 def affine_marks(g: SignedGraph) -> tuple[int, ...]:
     """Marks vector of an affine shape: the primitive positive kernel vector
     of 2I - A, which satisfies alpha A = 2 alpha with minimum entry 1."""
-    kind, _, _ = _recognize(_require_unsigned_connected(g))
+    kind, _, _ = _recognize(g, _unsigned_connected_neighbor_sets(g))
     if kind != "affine":
         raise ValueError("marks are defined only for affine shapes")
     return _affine_marks_raw(g)
 
 
-def _require_unsigned_connected(g: SignedGraph) -> SignedGraph:
+def _unsigned_connected_neighbor_sets(g: SignedGraph) -> list[set[int]]:
     if not g.is_unsigned():
         raise ValueError("shape classification requires an unsigned graph")
-    if not is_connected(g):
+    adj = _connected_neighbor_sets(g)
+    if adj is None:
         raise ValueError("graph is not connected")
-    return g
+    return adj
 
 
 def smith_classify(g: SignedGraph) -> SmithType:
@@ -218,8 +223,7 @@ def smith_classify(g: SignedGraph) -> SmithType:
     definiteness of 2I - A: finite shapes are positive definite, affine
     shapes positive semidefinite singular, everything else indefinite.
     """
-    _require_unsigned_connected(g)
-    kind, family, rk = _recognize(g)
+    kind, family, rk = _recognize(g, _unsigned_connected_neighbor_sets(g))
     marks = _affine_marks_raw(g) if kind == "affine" else None
     if not _definiteness_matches(g, kind):
         raise InvariantError(f"shape/definiteness disagreement for {g!r}")

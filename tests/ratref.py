@@ -5,8 +5,9 @@ used before lives on here unchanged, as an independent reference: RatMatrix
 with rank, solve, kernel_basis and primitive_integer_vector, the signed
 adjacency as a RatMatrix, the symmetric elimination with Fraction pivots that
 integer definiteness must agree with, the Fraction formula for the isometry
-matrix, and the short-vector enumeration that is an independent oracle for
-the reflection closure.
+matrix, the short-vector enumeration that is an independent oracle for the
+reflection closure, and the Fraction-per-token vector-file reader that the
+scaled-integer one must agree with.
 """
 
 from __future__ import annotations
@@ -15,8 +16,20 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from laced.cli import ParseError, _meaningful_lines
 from laced.exactlin import Definiteness, definiteness, integer_inverse
-from laced.roots import AmbientSpace, FormSpace, _canonical_base_order, _canonical_ordered_base, _idot
+from laced.roots import (
+    AmbientSpace,
+    FormSpace,
+    Root,
+    RootSet,
+    _canonical_base_order,
+    _canonical_ordered_base,
+    _idot,
+    _integral_dot,
+    _make_ambient_normalized,
+    _norm_is_2,
+)
 from laced.spectra import SignedGraph
 
 Q = Fraction
@@ -314,3 +327,53 @@ def short_vectors(rows: Sequence[Sequence[int]], target) -> list[tuple[int, ...]
 
     descend(n - 1, t)
     return sorted(results)
+
+
+def ambient_root(space: AmbientSpace, coords: Sequence) -> Root:
+    """Build an ambient root from exact rational coordinates."""
+    fracs = [Q(x) for x in coords]
+    if len(fracs) != space.dim:
+        raise ValueError(f"expected {space.dim} coordinates, got {len(fracs)}")
+    den = 1
+    for x in fracs:
+        den = den * x.denominator // math.gcd(den, x.denominator)
+    nums = tuple(int(x * den) for x in fracs)
+    return _make_ambient_normalized(space, nums, den)
+
+
+def parse_vector_file(text: str) -> list[tuple[int, tuple[Fraction, ...]]]:
+    """Parse a vector-set file into (line number, vector) pairs."""
+    rows: list[tuple[int, tuple[Fraction, ...]]] = []
+    for lineno, line in _meaningful_lines(text):
+        toks = line.split()
+        try:
+            vec = tuple(Q(tok) for tok in toks)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"line {lineno}: cannot parse rational vector {line!r}")
+        rows.append((lineno, vec))
+    if not rows:
+        raise ParseError("input contains no vectors")
+    width = len(rows[0][1])
+    for lineno, vec in rows:
+        if len(vec) != width:
+            raise ParseError(f"line {lineno}: expected {width} entries, got {len(vec)}")
+    return rows
+
+
+def root_set_from_text(text: str) -> RootSet:
+    """Parse and validate a vector-set file, attributing errors to lines."""
+    rows = parse_vector_file(text)
+    space = AmbientSpace(len(rows[0][1]))
+    roots: list[tuple[int, Root]] = []
+    for lineno, vec in rows:
+        r = ambient_root(space, vec)
+        if not _norm_is_2(r):
+            raise ValueError(f"line {lineno}: vector has squared norm {r.norm2()}, expected 2")
+        roots.append((lineno, r))
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            li, x = roots[i]
+            lj, y = roots[j]
+            if not _integral_dot(x, y):
+                raise ValueError(f"lines {li} and {lj}: non-integer inner product {x.dot(y)}")
+    return RootSet.of(space, [r for _, r in roots], validate=False)

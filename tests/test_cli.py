@@ -1,5 +1,7 @@
 import importlib
 import json
+import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from laced.cli import main, parse_graph_file, parse_vector_file, root_set_from_text
+import ratref
+from laced.cli import ParseError, main, parse_graph_file, parse_vector_file, root_set_from_text
+from laced.roots import Root, gen, signed_permute
 
 TRIANGLE_NEG = "3 3\n0 1 -\n0 2 -\n1 2 -\n"
 K5_NEG = "5 10\n" + "".join(
@@ -26,7 +30,7 @@ def run_cli(capsys, *argv):
 
 def test_parse_vector_file_comments_and_fractions():
     rows = parse_vector_file("# header\n1 -1 0\n\n1/2 -1/2 0  # inline\n")
-    assert rows == [(2, (1, -1, 0)), (4, (Fraction(1, 2), Fraction(-1, 2), 0))]
+    assert rows == [(2, ((1, -1, 0), 1)), (4, ((1, -1, 0), 2))]
 
 
 def test_parse_vector_file_errors():
@@ -45,6 +49,89 @@ def test_root_set_from_text_domain_errors():
         root_set_from_text("1 -1 0\n1 0 0\n")
     with pytest.raises(ValueError, match="lines 1 and 2"):
         root_set_from_text("4/3 1/3 1/3\n1 1 0\n")
+
+
+def assert_reads_as_the_fraction_path(text):
+    """root_set_from_text agrees with the Fraction-per-token reader kept in
+    tests/ratref.py: the same exception type and message, or the same space
+    dimension, rows, keys and Root.sort_key order.  Returns the exception,
+    or None."""
+    try:
+        ref = ratref.root_set_from_text(text)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            root_set_from_text(text)
+        assert type(got.value) is type(e)
+        assert str(got.value) == str(e)
+        return e
+    ref_rows = ratref.parse_vector_file(text)
+    rows = parse_vector_file(text)
+    assert [(lineno, tuple(Fraction(v, den) for v in nums)) for lineno, (nums, den) in rows] == ref_rows
+    assert all(den >= 1 and math.gcd(den, *nums) == 1 for _, (nums, den) in rows)
+    out = root_set_from_text(text)
+    dim = len(ref_rows[0][1])
+    assert out.space.dim == ref.space.dim == dim
+    assert all(len(r.nums) == dim for r in out)
+    assert out.keys() == ref.keys()
+    assert [r.key for r in out] == [r.key for r in sorted(ref.roots, key=Root.sort_key)]
+    return None
+
+
+def _vector_text(roots, rng):
+    lines = [" ".join(map(str, r.coords)) for r in roots]
+    rng.shuffle(lines)
+    return "# shuffled\n" + "\n".join(lines) + "\n"
+
+
+GOLDEN_VECTORS = sorted((Path(__file__).resolve().parent / "golden").glob("*.vec"))
+
+
+def test_vector_files_read_as_the_fraction_path():
+    rng = random.Random(11)
+    texts = [path.read_text(encoding="utf-8") for path in GOLDEN_VECTORS]
+    labels = [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(2, 13)] + ["E6", "E7", "E8"]
+    for label in labels:
+        phi = gen(label)
+        dim = phi.space.dim
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        texts.append(_vector_text(signed_permute(phi, perm, [rng.choice([1, -1]) for _ in range(dim)]), rng))
+    texts += [
+        "4/3 1/3 1/3\n1/3 4/3 1/3\n-1/3 -1/3 -4/3\n",
+        "8/6 2/6 2/6  # not in lowest terms\n1 -1 0\n",
+        "0.5 5e-1 -0.5 -5e-1 +1 -0\n+1 -1 0 -0 0 0\n",
+    ]
+    assert len(GOLDEN_VECTORS) == 2
+    for text in texts:
+        assert assert_reads_as_the_fraction_path(text) is None, text
+
+
+def test_vector_file_errors_match_the_fraction_path():
+    cases = [
+        ("1 -1\n1 x\n", ParseError),  # bad token
+        ("1 -1\n1/0 1\n", ParseError),
+        ("1 -1\n-1 1\n1 0 0\n", ParseError),  # width
+        ("# nothing\n", ParseError),
+        ("1 -1 0\n1 0 0\n", ValueError),  # norm
+        ("1_0 -0\n", ValueError),  # an underscore token, then the norm check
+        ("1 1 0\n1 -1 0\n4/3 1/3 1/3\n1/3 4/3 -1/3\n", ValueError),  # pairs (0, 2) and (2, 3)
+    ]
+    for text, kind in cases:
+        assert type(assert_reads_as_the_fraction_path(text)) is kind, text
+    # random lists of norm-2 rows over denominators 1 and 3: the first failing
+    # pair, in row order, is the same
+    rng = random.Random(12)
+    shapes = [(1, 1, 0), (4, 1, 1)]
+    failed = 0
+    for _ in range(300):
+        lines = []
+        for _ in range(rng.randint(2, 7)):
+            head = rng.choice(shapes)
+            coords = [rng.choice((1, -1)) * v for v in rng.sample(head, 3)]
+            den = 3 if head[0] == 4 else 1
+            lines.append(" ".join(str(Fraction(v, den)) for v in coords))
+        failed += assert_reads_as_the_fraction_path("\n".join(lines) + "\n") is not None
+    assert 0 < failed < 300
 
 
 def test_parse_graph_file():

@@ -27,7 +27,9 @@ from laced.roots import (
     _integral_dot,
     _make_ambient,
     _norm_is_2,
+    _order_key,
     _reflect,
+    _unit_roots,
     ambient_root,
     classify,
     closure,
@@ -965,3 +967,30 @@ def test_integral_dot_matches_the_rational_inner_product():
     for x in vecs + exact:
         assert _norm_is_2(x) == (x.norm2() == 2)
     assert 0 < sum(map(_norm_is_2, vecs + exact)) < len(vecs + exact)
+
+
+def test_integer_order_equals_the_sort_key_order():
+    """_order_key sorts as Root.sort_key, the public definition of the order,
+    which compares ambient coordinates as Fractions."""
+    rng = random.Random(9)
+    space = AmbientSpace(4)
+    mixed = [
+        ambient_root(space, [Q(rng.randint(-3, 3), rng.choice([1, 2, 3, 6])) for _ in range(4)])
+        for _ in range(300)
+    ]
+    assert {1, 2, 3, 6} <= {r.den for r in mixed}
+    e8 = list(gen("E8"))
+    assert {r.den for r in e8} == {1, 2}
+    d5 = FormSpace(two_i_minus_adjacency_rows(SignedGraph.unsigned(5, [(0, 1), (1, 2), (2, 3), (2, 4)])))
+    affine_a2 = FormSpace([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    intrinsic = [closure(RootSet.of(sp, _unit_roots(sp))) for sp in (d5, affine_a2)]
+    cases = [mixed, e8, list(gen("E7")), list(gen("E6"))] + [list(phi) for phi in intrinsic]
+    for roots in cases:
+        shuffled = roots[:]
+        rng.shuffle(shuffled)
+        expected = [r.key for r in sorted(shuffled, key=Root.sort_key)]
+        assert [r.key for r in sorted(shuffled, key=_order_key(shuffled))] == expected
+        assert min(shuffled, key=_order_key(shuffled)).key == expected[0]
+    # the sorted outputs of the package follow the same order
+    for phi in [gen("E8"), gen("E7"), closure(rs(*E8_SIMPLE)), RootSet.of(space, mixed, validate=False)] + intrinsic:
+        assert list(phi.roots) == sorted(phi.roots, key=Root.sort_key)

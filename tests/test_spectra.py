@@ -168,3 +168,19 @@ def test_is_connected_counts_edges_before_building_neighbor_sets(monkeypatch):
 
     monkeypatch.setattr(SignedGraph, "neighbor_sets", refuse)
     assert not is_connected(SignedGraph(10**12, []))
+
+
+def test_smith_classify_builds_the_neighbor_sets_once(monkeypatch):
+    # the connectivity check and the shape recognition share one build
+    calls = []
+    build = SignedGraph.neighbor_sets
+
+    def counted(g):
+        calls.append(g.n)
+        return build(g)
+
+    monkeypatch.setattr(SignedGraph, "neighbor_sets", counted)
+    for g, kind in [(finite_shape("E", 7), "finite"), (affine_shape("D", 6), "affine")]:
+        calls.clear()
+        assert smith_classify(g).kind == kind
+        assert calls == [g.n]
