@@ -17,6 +17,7 @@ failed invariant check: a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -275,7 +276,10 @@ def _cmd_smith(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing an argument
+    list leaves it unchanged, and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="laced",
         description="Exact classification of simply laced root systems and "
@@ -322,9 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InvariantError
-from .exactlin import Definiteness, definiteness
+from .exactlin import Definiteness, definiteness, symmetric_elimination
 from .roots import (
     DynkinType,
     FormSpace,
@@ -68,9 +68,13 @@ def embed(g: SignedGraph) -> EmbeddingCertificate:
     """
     if not is_connected(g):
         raise ValueError("embedding requires a connected graph")
-    if check_least_eigenvalue(g) is Definiteness.INDEFINITE:
+    rows = shifted_gram_rows(g, 2)
+    # the one elimination of A + 2I decides definiteness and gives the
+    # pivot generators that the intrinsic roots are stored over
+    kind, upper = symmetric_elimination(rows)
+    if kind is Definiteness.INDEFINITE:
         raise ValueError(LEAST_EIGENVALUE_DIAGNOSTIC)
-    space = FormSpace._trusted(tuple(tuple(row) for row in shifted_gram_rows(g, 2)))
+    space = FormSpace._trusted(tuple(map(tuple, rows)), upper)
     generators = _unit_roots(space)
     seed = RootSet.of(space, generators, validate=False)
     phi = closure(seed)

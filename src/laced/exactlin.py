@@ -1,8 +1,9 @@
 """Exact linear algebra on integer matrices.
 
-Every decision that matters downstream (definiteness, inverse, kernel) is
-fraction-free elimination in Bareiss form on arbitrary-precision integers:
-each division by the previous pivot is exact, so no rational is ever built.
+Every decision that matters downstream (definiteness and the pivot frame of
+a Gram form, inverse, kernel) is fraction-free elimination in Bareiss form on
+arbitrary-precision integers: each division by the previous pivot is exact,
+so no rational is ever built.
 Floating point never appears here; tests cross-check the definiteness
 trichotomy against a floating eigensolver and a rational eliminator, but the
 trusted path is exact.
@@ -34,7 +35,13 @@ def _integer_rows(rows: Sequence[Sequence[int]], who: str) -> list[list[int]]:
 
 
 def definiteness(rows: Sequence[Sequence[int]]) -> Definiteness:
-    """Exact trichotomy of a symmetric integer matrix.
+    """Exact trichotomy of a symmetric integer matrix, by
+    symmetric_elimination."""
+    return symmetric_elimination(rows)[0]
+
+
+def symmetric_elimination(rows: Sequence[Sequence[int]]) -> tuple[Definiteness, list[list[int]]]:
+    """Exact trichotomy of a symmetric integer matrix, with the rows it leaves.
 
     Fraction-free symmetric elimination in Bareiss form, processing the
     diagonal in order: a_ij <- (d * a_ij - a_ki * a_kj) / prev, where d is
@@ -44,6 +51,12 @@ def definiteness(rows: Sequence[Sequence[int]]) -> Definiteness:
     vanishes the matrix can still be positive semidefinite and the index is
     skipped without changing prev, otherwise a 2x2 indefinite block has been
     found.  No pivot permutation is performed.
+
+    Unless the matrix is indefinite, the returned rows are the upper factor
+    of the elimination: row k, from column k on, is row k as it stood when k
+    was processed, so its diagonal entry is the pivot (the determinant of
+    the minor on the nonzero pivots up to k) or 0 at a skipped index.
+    pivot_frame reads the dependencies of the skipped indices off it.
     """
     a = _integer_rows(rows, "definiteness")
     n = len(a)
@@ -55,11 +68,11 @@ def definiteness(rows: Sequence[Sequence[int]]) -> Definiteness:
         ak = a[k]
         d = ak[k]
         if d < 0:
-            return Definiteness.INDEFINITE
+            return Definiteness.INDEFINITE, a
         if d == 0:
             # residual row must vanish, else [[0, x], [x, *]] is indefinite
             if any(ak[j] != 0 for j in range(k + 1, n)):
-                return Definiteness.INDEFINITE
+                return Definiteness.INDEFINITE, a
             saw_zero = True
             continue
         # Schur complement update; only the upper triangle is maintained,
@@ -74,8 +87,61 @@ def definiteness(rows: Sequence[Sequence[int]]) -> Definiteness:
                 ai[j] = q
         prev = d
     if saw_zero:
-        return Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR
-    return Definiteness.POSITIVE_DEFINITE
+        return Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR, a
+    return Definiteness.POSITIVE_DEFINITE, a
+
+
+def pivot_frame(upper: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+    """Pivots P, denominator D and every index's coefficients over P, read
+    off the upper factor that symmetric_elimination leaves for a positive
+    semidefinite Gram form G of vectors v_0..v_{n-1}.
+
+    P holds the indices with a nonzero pivot; the v_p, p in P, are
+    independent and each skipped v_j is, modulo the radical of G, the
+    combination sum c_jp v_p over the pivots p < j.  Row operations carry G
+    into the upper factor U, so c_j solves the triangular system
+    U[p][j] = sum over q in P, p <= q < j, of U[p][q] c_jq for p in P, p < j.
+    Its matrix has determinant d, the last pivot before j, and d * c_j is an
+    integer vector found by back substitution with exact divisions.  D is
+    the lcm of the reduced denominators of all c_j (1 when G is
+    nonsingular), and index i's coefficients are returned scaled by D, as a
+    tuple of length |P|: D times a unit vector for a pivot.
+    """
+    n = len(upper)
+    pivots = tuple(k for k in range(n) if upper[k][k])
+    r = len(pivots)
+    # tails[a] = U[p_a][p_b] for the pivots p_b after p_a
+    tails = [[upper[p][q] for q in pivots[a + 1 :]] for a, p in enumerate(pivots)]
+    solved: dict[int, tuple[list[int], int]] = {}  # skipped index j -> (d * c_j, d)
+    k = 0  # pivots before j
+    for j in range(n):
+        if k < r and pivots[k] == j:
+            k += 1
+            continue
+        if k == 0:
+            solved[j] = ([], 1)
+            continue
+        d = upper[pivots[k - 1]][pivots[k - 1]]
+        y = [0] * k
+        for a in range(k - 1, -1, -1):
+            row = upper[pivots[a]]
+            y[a], rem = divmod(d * row[j] - sum(map(mul, tails[a], y[a + 1 :])), row[pivots[a]])
+            if rem:
+                raise InvariantError("inexact division in the pivot back substitution")
+        g = math.gcd(d, *y)
+        solved[j] = ([v // g for v in y], d // g)
+    den = math.lcm(1, *(q for _, q in solved.values()))
+    coeffs = []
+    a = 0
+    for j in range(n):
+        if j in solved:
+            y, q = solved[j]
+            f = den // q
+            coeffs.append(tuple(v * f for v in y) + (0,) * (r - len(y)))
+        else:
+            coeffs.append((0,) * a + (den,) + (0,) * (r - a - 1))
+            a += 1
+    return pivots, den, tuple(coeffs)
 
 
 def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:

@@ -2,10 +2,19 @@
 
 Roots live either in an ambient coordinate space (stored as integer
 numerators over one positive denominator, so all the hot arithmetic is plain
-integer work) or intrinsically as integer coefficient vectors over a shared
-positive semidefinite Gram form.  In the intrinsic picture two vectors are
-equal when their difference lies in the radical of the form, so the canonical
-key of a vector v is the tuple G v of its inner products with the generators.
+integer work) or intrinsically over a shared positive semidefinite Gram form G
+of n generators.  In the intrinsic picture two vectors are equal when their
+difference lies in the radical of the form.  The form's pivot generators P,
+the indices where the symmetric elimination of G meets a nonzero pivot, are
+independent modulo the radical, and every generator is a rational combination
+of the pivots before it; so an intrinsic root is its r = |P| coefficients over
+the pivots, scaled to integers by the form's one denominator D, and its key
+is the tuple of its inner products with the pivots, scaled by D.  Every
+intrinsic operation costs O(r), however many generators the form has, and
+that key orders roots as their inner products with all n generators would:
+the first generator whose inner products with two roots differ is always a
+pivot, since a non-pivot's inner products follow from those with the pivots
+before it.
 
 The reflection closure is the production algorithm for the set of norm-2
 lattice vectors generated by a seed S.  It is the orbit W(S)·S of the seed
@@ -28,7 +37,7 @@ from operator import add, mul, sub
 from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvariantError
-from .exactlin import Definiteness, definiteness, integer_inverse
+from .exactlin import Definiteness, definiteness, integer_inverse, pivot_frame, symmetric_elimination
 from .spectra import SignedGraph, connected_without, smith_classify
 
 Q = Fraction
@@ -59,10 +68,17 @@ class FormSpace:
 
     The form must be symmetric with diagonal 2 and positive semidefinite;
     semidefiniteness is what makes quotienting by the radical a valid notion
-    of equality.
+    of equality.  Equality and hashing read ``gram`` only.
+
+    Roots over the form are stored over its pivot generators: ``pivots`` is
+    P, the indices where the symmetric elimination of the form meets a
+    nonzero pivot, ``pivot_gram`` the minor G_PP, and ``den`` the one
+    denominator D of the space, the lcm of the denominators of the non-pivot
+    generators' coefficients over P (1 when the form is nonsingular).
+    ``_units`` holds each generator's coefficients over P, scaled by D.
     """
 
-    __slots__ = ("gram", "_hash")
+    __slots__ = ("gram", "_hash", "pivots", "pivot_gram", "den", "_units")
 
     def __init__(self, gram: Sequence[Sequence[int]]) -> None:
         grid = tuple(tuple(int(x) for x in row) for row in gram)
@@ -73,18 +89,24 @@ class FormSpace:
             raise ValueError("Gram form must be symmetric")
         if any(grid[i][i] != 2 for i in range(n)):
             raise ValueError("Gram form must have diagonal 2")
-        if definiteness(grid) is Definiteness.INDEFINITE:
+        kind, upper = symmetric_elimination(grid)
+        if kind is Definiteness.INDEFINITE:
             raise ValueError("Gram form must be positive semidefinite")
-        self.gram = grid
-        self._hash = hash(grid)
+        self._fill(grid, upper)
 
     @classmethod
-    def _trusted(cls, grid: tuple[tuple[int, ...], ...]) -> "FormSpace":
-        # caller has already established symmetry, diagonal 2 and semidefiniteness
+    def _trusted(cls, grid: tuple[tuple[int, ...], ...], upper: Sequence[Sequence[int]]) -> "FormSpace":
+        # caller has already established symmetry, diagonal 2 and
+        # semidefiniteness, and passes the upper factor of that elimination
         obj = object.__new__(cls)
-        obj.gram = grid
-        obj._hash = hash(grid)
+        obj._fill(grid, upper)
         return obj
+
+    def _fill(self, grid: tuple[tuple[int, ...], ...], upper: Sequence[Sequence[int]]) -> None:
+        self.gram = grid
+        self._hash = hash(grid)
+        self.pivots, self.den, self._units = pivot_frame(upper)
+        self.pivot_gram = tuple(tuple(grid[p][q] for q in self.pivots) for p in self.pivots)
 
     @property
     def n(self) -> int:
@@ -106,11 +128,16 @@ Space = Union[AmbientSpace, FormSpace]
 class Root:
     """A vector handled exactly, in ambient coordinates or over a Gram form.
 
-    ``nums``/``den`` hold the normalized scaled-integer representation; for
-    intrinsic roots ``den`` is 1 and ``nums`` are the generator coefficients.
-    ``dvec`` is the companion vector used for inner products (the numerators
-    themselves in the ambient case, G @ nums in the intrinsic case), and
-    ``key`` is the canonical identity used for equality and ordering.
+    ``nums``/``den`` hold the normalized scaled-integer representation.
+    For an intrinsic root ``nums`` are its coefficients over the form's
+    pivot generators P, scaled by the form's denominator D, and ``den`` is
+    that D.  ``dvec`` is the companion vector used for inner products, so
+    that <x, y> = sum(x.nums * y.dvec) / (x.den * y.den): the numerators
+    themselves in the ambient case, G_PP @ nums in the intrinsic case.
+    ``key`` is the canonical identity used for equality and ordering: for an
+    intrinsic root it is ``dvec``, D times its inner products with the
+    pivots, which orders roots as their inner products with all generators
+    would.
     """
 
     __slots__ = ("space", "nums", "den", "dvec", "key", "_hash")
@@ -130,10 +157,18 @@ class Root:
         return tuple(Q(v, d) for v in self.nums)
 
     @property
-    def coeffs(self) -> tuple[int, ...]:
+    def coeffs(self) -> tuple:
+        """Coefficients over the form's n generators: the stored ones, on
+        the pivots, and 0 elsewhere.  On a nonsingular form every generator
+        is a pivot and these are the integers the root was built from; over
+        a form whose denominator D is not 1 they are Fractions."""
         if self.is_ambient:
             raise ValueError("ambient root has no generator coefficients")
-        return self.nums
+        sp = self.space
+        out = [0 if sp.den == 1 else Q(0)] * sp.n
+        for p, v in zip(sp.pivots, self.nums):
+            out[p] = v if sp.den == 1 else Q(v, sp.den)
+        return tuple(out)
 
     def norm2(self) -> Fraction:
         return Q(sum(map(mul, self.nums, self.dvec)), self.den * self.den)
@@ -172,7 +207,7 @@ class Root:
     def __repr__(self) -> str:
         if self.is_ambient:
             return f"Root({' '.join(str(Q(v, self.den)) for v in self.nums)})"
-        return f"Root(coeffs={list(self.nums)})"
+        return f"Root(coeffs={list(self.coeffs)})"
 
 
 def _order_key(roots: Collection[Root]) -> Callable[[Root], tuple]:
@@ -180,11 +215,11 @@ def _order_key(roots: Collection[Root]) -> Callable[[Root], tuple]:
 
     Ambient coordinates are compared scaled to the lcm L of the roots'
     denominators, nums * (L // den), which orders them as the rationals
-    nums / den do.  When L is 1 (every intrinsic root, and ambient roots with
-    integer coordinates) Root.sort_key is already an integer key.
+    nums / den do.  For intrinsic roots, and ambient roots with integer
+    coordinates, Root.sort_key is already an integer key.
     """
     lcm = math.lcm(*{r.den for r in roots})
-    if lcm == 1:
+    if lcm == 1 or type(next(iter(roots)).space) is FormSpace:
         return Root.sort_key
     return lambda r: r.nums if r.den == lcm else tuple(v * (lcm // r.den) for v in r.nums)
 
@@ -222,7 +257,7 @@ def _make_lattice_raw(space: FormSpace, nums: tuple[int, ...], dvec: tuple[int, 
     r = object.__new__(Root)
     r.space = space
     r.nums = nums
-    r.den = 1
+    r.den = space.den
     r.dvec = dvec
     r.key = dvec
     r._hash = hash((space._hash, dvec))
@@ -256,18 +291,25 @@ def ambient_root(space: AmbientSpace, coords: Sequence) -> Root:
 
 def lattice_root(space: FormSpace, coeffs: Sequence[int]) -> Root:
     """Build an intrinsic root from integer coefficients over the form's generators."""
-    nums = tuple(int(c) for c in coeffs)
-    if len(nums) != space.n:
-        raise ValueError(f"expected {space.n} coefficients, got {len(nums)}")
-    dvec = tuple(sum(map(mul, row, nums)) for row in space.gram)
+    given = tuple(int(c) for c in coeffs)
+    if len(given) != space.n:
+        raise ValueError(f"expected {space.n} coefficients, got {len(given)}")
+    nums = [0] * len(space.pivots)
+    for c, unit in zip(given, space._units):
+        if c:
+            nums = [a + c * u for a, u in zip(nums, unit)]
+    nums = tuple(nums)
+    dvec = tuple(sum(map(mul, row, nums)) for row in space.pivot_gram)
     return _make_lattice_raw(space, nums, dvec)
 
 
 def _unit_roots(space: FormSpace) -> list[Root]:
-    """The generators e_1..e_n of the form as roots; the dvec of e_i is
-    G e_i, which is the i-th Gram row."""
-    n = space.n
-    return [_make_lattice_raw(space, tuple(int(k == i) for k in range(n)), row) for i, row in enumerate(space.gram)]
+    """The generators e_1..e_n of the form as roots.  The dvec of e_i is D
+    times its inner products with the pivots, read off the i-th Gram row."""
+    pivots, d = space.pivots, space.den
+    return [
+        _make_lattice_raw(space, u, tuple(d * row[p] for p in pivots)) for u, row in zip(space._units, space.gram)
+    ]
 
 
 def _idot(x: Root, y: Root) -> int:
@@ -364,7 +406,8 @@ class RootSet:
             unique.setdefault(r.key, r)
         distinct = unique.values()
         ordered = sorted(distinct, key=_order_key(distinct))
-        if validate:
+        # intrinsic inner products are integers, since the form is integral
+        if validate and type(space) is AmbientSpace:
             pair = _first_nonintegral_pair(ordered)
             if pair is not None:
                 i, j = pair
@@ -901,8 +944,9 @@ class Isometry:
     """Exact linear map from a root set's span into a canonical ambient space.
 
     The map is the integer matrix ``rows`` over the positive denominator
-    ``den``, with no factor common to both.  It has one column per input
-    coordinate (ambient coordinate, or generator of the form); it preserves
+    ``den``, with no factor common to both, applied to a root's ``nums`` and
+    divided by its ``den``.  It has one column per stored coordinate: an
+    ambient coordinate, or a pivot generator of the form.  It preserves
     inner products on the span and annihilates its orthogonal complement.
     ``_columns`` holds the same matrix by columns, so that apply sums only
     the columns of a root's nonzero coordinates.
@@ -919,9 +963,16 @@ class Isometry:
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The map as rows of Fractions, for output."""
-        d = self.den
-        return tuple(tuple(Q(v, d) for v in row) for row in self.rows)
+        """The map as rows of Fractions, for output, with one column per
+        input coordinate: ambient coordinate, or generator of the form.
+        Column j of an intrinsic map is the image of generator j, the map
+        applied to its coefficients over the pivots."""
+        d, rows = self.den, self.rows
+        sp = self.domain
+        if type(sp) is FormSpace:
+            d *= sp.den
+            rows = [[sum(map(mul, row, unit)) for unit in sp._units] for row in rows]
+        return tuple(tuple(Q(v, d) for v in row) for row in rows)
 
     def apply(self, r: Root) -> Root:
         if r.space is not self.domain and r.space != self.domain:
@@ -1012,13 +1063,11 @@ def _isometry(omega: RootSet, base: Sequence[Root], t: DynkinType) -> Isometry:
     # ordered base, Ginv those to base coefficients, and Y, the target base
     # as columns, the coefficients to the canonical model.  In integers,
     # B = b_rows / b_den, Ginv = inv_num / inv_den and Y = y_cols / y_den.
+    # <x, b> = sum(x.nums * b.dvec) / (x.den * b.den), and apply divides by
+    # x.den, so B is the base's dvecs over their common denominator
     domain = omega.space
-    if type(domain) is FormSpace:
-        b_den = 1
-        b_rows = [r.dvec for r in ordered]
-    else:
-        b_den = math.lcm(*(r.den for r in ordered))
-        b_rows = [[v * (b_den // r.den) for v in r.nums] for r in ordered]
+    b_den = math.lcm(*(r.den for r in ordered))
+    b_rows = [[v * (b_den // r.den) for v in r.dvec] for r in ordered]
     y_den = math.lcm(*(r.den for r in target))
     y_cols = [[v * (y_den // r.den) for v in r.nums] for r in target]
     b_cols = list(zip(*b_rows))

@@ -6,8 +6,10 @@ with rank, solve, kernel_basis and primitive_integer_vector, the signed
 adjacency as a RatMatrix, the symmetric elimination with Fraction pivots that
 integer definiteness must agree with, the Fraction formula for the isometry
 matrix, the short-vector enumeration that is an independent oracle for the
-reflection closure, and the Fraction-per-token vector-file reader that the
-scaled-integer one must agree with.
+reflection closure, the Fraction-per-token vector-file reader that the
+scaled-integer one must agree with, and the intrinsic root over all n
+generators of a Gram form that the roots over pivot generators must order
+exactly as.
 """
 
 from __future__ import annotations
@@ -377,3 +379,64 @@ def root_set_from_text(text: str) -> RootSet:
             if not _integral_dot(x, y):
                 raise ValueError(f"lines {li} and {lj}: non-integer inner product {x.dot(y)}")
     return RootSet.of(space, [r for _, r in roots], validate=False)
+
+
+# --- intrinsic roots over all n generators of a Gram form
+
+
+def full_form(gram: Sequence[Sequence[int]]) -> FormSpace:
+    """The Gram form with every generator as a stored coordinate.
+
+    Its roots are intrinsic roots as laced stored them before it moved to
+    pivot generators: ``nums`` are the n generator coefficients, ``den`` is
+    1, and ``dvec`` and ``key`` are G @ nums, the inner products with all n
+    generators.  The package's closure, base growth and isometry build read
+    only nums, dvec and den, so they run on these roots unchanged.  The
+    space equals FormSpace(gram), since equality reads the Gram form only:
+    keep its roots apart from the package's.
+    """
+    space = FormSpace(gram)  # validates the form
+    n = space.n
+    full = object.__new__(FormSpace)
+    full.gram = space.gram
+    full._hash = space._hash
+    full.pivots = tuple(range(n))
+    full.pivot_gram = space.gram
+    full.den = 1
+    full._units = tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
+    return full
+
+
+def full_lattice_root(space: FormSpace, coeffs: Sequence[int]) -> Root:
+    """The root sum(coeffs[i] * e_i) over a full_form, keyed by G @ coeffs."""
+    nums = tuple(int(c) for c in coeffs)
+    dvec = tuple(sum(a * b for a, b in zip(row, nums)) for row in space.gram)
+    r = object.__new__(Root)
+    r.space = space
+    r.nums = nums
+    r.den = 1
+    r.dvec = dvec
+    r.key = dvec
+    r._hash = hash((space._hash, dvec))
+    return r
+
+
+def full_unit_roots(space: FormSpace) -> list[Root]:
+    """The generators e_1..e_n of a full_form as roots."""
+    n = space.n
+    return [full_lattice_root(space, [int(k == i) for k in range(n)]) for i in range(n)]
+
+
+def full_dvec(r: Root) -> tuple[int, ...]:
+    """The inner products of one of the package's intrinsic roots with all n
+    generators of its form: what its dvec and key are over a full_form.
+    The root stores D times its coefficients over the pivots P, so
+    <r, e_i> = sum over p in P of G[i][p] * nums_p / D."""
+    sp = r.space
+    out = []
+    for row in sp.gram:
+        q, rem = divmod(sum(row[p] * v for p, v in zip(sp.pivots, r.nums)), sp.den)
+        if rem:
+            raise ValueError("inner product with a generator is not an integer")
+        out.append(q)
+    return tuple(out)

@@ -540,3 +540,48 @@ def test_certificate_check_runs_in_optimized_mode(tmp_path):
     )
     proc = _run_python(["-O", "-c"], [script + probe], repo, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_parser_per_process_gives_the_bytes_of_a_fresh_interpreter(capsys, monkeypatch, tmp_path):
+    """main builds its argument parser once per process.  A sequence of
+    different commands in one process, usage errors among them, writes the
+    same stdout, stderr and exit code for each as a fresh interpreter does."""
+    import laced.cli
+
+    repo = Path(__file__).resolve().parents[1]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal width
+    vec = tmp_path / "d4.vec"
+    assert main(["gen", "D4", "--output", str(vec)]) == 0
+    tri = tmp_path / "tri.sg"
+    tri.write_text(TRIANGLE_NEG)
+    k5 = tmp_path / "k5.sg"
+    k5.write_text(K5_NEG)
+    commands = [
+        ["gen", "A2"],
+        [],
+        ["frobnicate"],
+        ["embed", str(tri), "--json"],
+        ["gen"],
+        ["classify", str(vec), "--isometry"],
+        ["embed", str(tri), "--bogus"],
+        ["embed", str(k5)],
+        ["close", str(tmp_path / "missing.vec")],
+        ["smith", "--help"],
+        ["smith", str(tri)],
+        ["gen", "A2"],
+    ]
+    capsys.readouterr()
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "laced.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin", "COLUMNS": "80"},
+            cwd=tmp_path,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert {main([]) for _ in range(2)} == {2}
+    capsys.readouterr()
+    assert laced.cli._parser.cache_info().misses == 1

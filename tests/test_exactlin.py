@@ -7,7 +7,14 @@ from operator import mul
 import numpy as np
 import pytest
 
-from laced.exactlin import Definiteness, definiteness, integer_inverse, primitive_kernel_vector
+from laced.exactlin import (
+    Definiteness,
+    definiteness,
+    integer_inverse,
+    pivot_frame,
+    primitive_kernel_vector,
+    symmetric_elimination,
+)
 from laced.spectra import two_i_minus_adjacency_rows
 from ratref import (
     RatMatrix,
@@ -466,3 +473,36 @@ def test_kernel_vector_requires_corank_one():
             primitive_kernel_vector(rows)
     assert primitive_kernel_vector(TRIANGLE_GRAM) == (1, 1, 1)
     assert primitive_kernel_vector([[1, 2], [2, 4]]) == (2, -1)
+
+
+def test_pivot_frame_matches_rational_solves():
+    """Pivots taken greedily (an index is a pivot when it raises the rank of
+    the minor on the pivots before it), and each index's coefficients over
+    them from a Fraction solve of G_PP c = G_Pj, against pivot_frame on the
+    rows that symmetric_elimination leaves.  Random Gram matrices with zero
+    vectors and dependent ones mixed in, so some need D > 1."""
+    rng = random.Random(1976)
+    dens = set()
+    for _ in range(150):
+        rows = random_gram(rng, rng.randint(1, 7))
+        kind, upper = symmetric_elimination(rows)
+        assert kind is definiteness(rows) is not INDEF
+        pivots, den, coeffs = pivot_frame(upper)
+        want = []
+        for j in range(len(rows)):
+            trial = want + [j]
+            if rank(RatMatrix([[rows[a][b] for b in trial] for a in trial])) == len(trial):
+                want = trial
+        assert list(pivots) == want
+        assert (kind is PD) == (len(pivots) == len(rows))
+        if pivots:
+            minor = RatMatrix([[rows[a][b] for b in pivots] for a in pivots])
+            exact = [solve(minor, [rows[p][j] for p in pivots]) for j in range(len(rows))]
+        else:  # the zero form
+            exact = [()] * len(rows)
+        assert all(c is not None for c in exact)
+        assert all(c[i] == 0 for j, c in enumerate(exact) for i, p in enumerate(pivots) if p > j)
+        assert den == math.lcm(1, *(x.denominator for c in exact for x in c))
+        assert coeffs == tuple(tuple(int(x * den) for x in c) for c in exact)
+        dens.add(den)
+    assert 1 in dens and max(dens) > 1

@@ -48,6 +48,7 @@ from laced.roots import (
     signed_permute,
 )
 from laced.spectra import SignedGraph, is_connected, shifted_gram_rows, smith_classify, two_i_minus_adjacency_rows
+import ratref
 from ratref import RatMatrix, isometry_matrix, kernel_basis, primitive_integer_vector, rank, short_vectors
 
 # Fixed simple system for E8: a path a1-a3-a4-...-a8 with a2 attached at a4,
@@ -387,7 +388,7 @@ def combination_key(s: list[Root], coeffs: list[int]):
     """Canonical key of sum(c_i * s_i) without building a Root."""
     space = s[0].space
     if type(space) is FormSpace:
-        acc = [0] * space.n
+        acc = [0] * len(space.pivots)
         for c, r in zip(coeffs, s):
             if c:
                 for k, v in enumerate(r.dvec):
@@ -926,13 +927,16 @@ def test_isometry_matrix_matches_the_fraction_formula():
         dim = phi.space.dim
         perm = list(range(dim))
         rng.shuffle(perm)
-        cases.append(signed_permute(phi, perm, [rng.choice([1, -1]) for _ in range(dim)]))
-    space = FormSpace([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])  # affine A2: a radical
+        omega = signed_permute(phi, perm, [rng.choice([1, -1]) for _ in range(dim)])
+        cases.append((omega, omega))
+    affine_a2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]  # a radical
+    space = FormSpace(affine_a2)
     seed = [lattice_root(space, c) for c in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
-    cases.append(closure(RootSet.of(space, seed)))
-    for omega in cases:
+    reference = ratref.full_form(affine_a2)  # the Fraction formula reads dvecs over all generators
+    cases.append((closure(RootSet.of(space, seed)), closure(RootSet.of(reference, ratref.full_unit_roots(reference)))))
+    for omega, ref in cases:
         t, iso = isometry_to_canonical(omega)
-        assert iso.matrix == isometry_matrix(omega, _component_base(omega), t), t
+        assert iso.matrix == isometry_matrix(ref, _component_base(ref), t), t
         assert iso.den > 0 and math.gcd(iso.den, *(v for row in iso.rows for v in row)) == 1
 
 
@@ -994,3 +998,45 @@ def test_integer_order_equals_the_sort_key_order():
     # the sorted outputs of the package follow the same order
     for phi in [gen("E8"), gen("E7"), closure(rs(*E8_SIMPLE)), RootSet.of(space, mixed, validate=False)] + intrinsic:
         assert list(phi.roots) == sorted(phi.roots, key=Root.sort_key)
+
+
+def test_pivot_roots_order_as_the_full_reference():
+    """Intrinsic roots over pivot generators against ratref's roots over all
+    n generators: the same closure in the same order, compared as full
+    dvecs, the same base, and the same isometry matrix, one column per
+    generator.  Forms: random graph forms (singular and nonsingular), a
+    switched L(K8), and K_{1,4} with the centre last, where the pivots are
+    the four leaves, the centre is half their sum and D = 2."""
+    rng = random.Random(90)
+    forms = random_semidefinite_graphs(rng, 30)
+    forms.append(shifted_gram_rows(switched_line_graph_of_complete(rng, 8), 2))
+    forms.append(shifted_gram_rows(SignedGraph.unsigned(5, [(0, 4), (1, 4), (2, 4), (3, 4)]), 2))
+    assert {definiteness(rows) for rows in forms} == {
+        Definiteness.POSITIVE_DEFINITE,
+        Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR,
+    }
+    for rows in forms:
+        fs, reference = FormSpace(rows), ratref.full_form(rows)
+        phi = closure(RootSet.of(fs, _unit_roots(fs), validate=False))
+        want = closure(RootSet.of(reference, ratref.full_unit_roots(reference), validate=False))
+        assert [ratref.full_dvec(r) for r in phi] == [r.dvec for r in want]
+        base, want_base = _component_base(phi), _component_base(want)
+        assert [ratref.full_dvec(r) for r in base] == [r.dvec for r in want_base]
+        t, iso = isometry_to_canonical(phi)
+        assert iso.matrix == isometry_matrix(want, want_base, t)
+        assert all(len(row) == len(rows) for row in iso.matrix)
+    assert fs.den == 2  # the last form, K_{1,4}
+
+
+def test_pivot_frame_of_a_singular_form():
+    """K_{1,4} with the centre last: the centre is half the sum of the
+    leaves, so its stored coefficients are (1, 1, 1, 1) over D = 2; coeffs
+    gives back that combination over the five generators."""
+    fs = FormSpace(shifted_gram_rows(SignedGraph.unsigned(5, [(0, 4), (1, 4), (2, 4), (3, 4)]), 2))
+    assert (fs.pivots, fs.den) == ((0, 1, 2, 3), 2)
+    assert fs.pivot_gram == tuple(tuple(2 * (i == j) for j in range(4)) for i in range(4))
+    centre = lattice_root(fs, [0, 0, 0, 0, 1])
+    assert (centre.nums, centre.den, centre.dvec) == ((1, 1, 1, 1), 2, (2, 2, 2, 2))
+    assert centre.coeffs == (Q(1, 2), Q(1, 2), Q(1, 2), Q(1, 2), 0)
+    assert centre.norm2() == 2
+    assert lattice_root(fs, [1, 1, 1, 1, -1]) == centre  # equal modulo the radical
