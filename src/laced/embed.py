@@ -109,7 +109,8 @@ def verify_certificate(g: SignedGraph, cert: EmbeddingCertificate) -> bool:
     if not (t.family == "D" or (t.family == "E" and t.rank == 8)):
         return False
     dim = t.ambient_dim
-    vecs = [tuple(Q(x) for x in v) for v in cert.vectors]
+    # embed's coordinates are Fractions already; wrap only the others
+    vecs = [tuple(x if isinstance(x, Q) else Q(x) for x in v) for v in cert.vectors]
     if any(len(v) != dim for v in vecs):
         return False
     # v_i = w_i / d_i with integer w_i, so <v_i, v_j> = e_ij iff

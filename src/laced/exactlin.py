@@ -1,7 +1,7 @@
 """Exact linear algebra on integer matrices.
 
 Every decision that matters downstream (definiteness and the pivot frame of
-a Gram form, inverse, kernel) is fraction-free elimination in Bareiss form on
+a Gram form, and the inverse) is fraction-free elimination in Bareiss form on
 arbitrary-precision integers: each division by the previous pivot is exact,
 so no rational is ever built.
 Floating point never appears here; tests cross-check the definiteness
@@ -185,33 +185,3 @@ def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int
             g = math.gcd(g, x)
     return [[x // g for x in row] for row in num], den // g
 
-
-def primitive_kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The primitive integer vector spanning the kernel of a square integer
-    matrix of corank 1, with its first nonzero entry positive.
-
-    The minor that leaves out the last row and column must be nonsingular:
-    the kernel vector is (-inv(minor) c, 1) for the last column's head c,
-    cleared of the inverse's denominator.  Raises ValueError on a
-    non-integer entry, when that minor is singular (corank >= 2 among others)
-    or when the vector fails the last row (corank 0).
-    """
-    n = len(rows)
-    if n < 2 or any(len(r) != n for r in rows):
-        raise ValueError("square matrix of size >= 2 required")
-    rows = _integer_rows(rows, "primitive_kernel_vector")
-    head = [r[:-1] for r in rows[:-1]]
-    col = [r[-1] for r in rows[:-1]]
-    try:
-        inv_num, inv_den = integer_inverse(head)
-    except ValueError:
-        raise ValueError("the minor leaving out the last index is singular")
-    vec = [-sum(map(mul, row, col)) for row in inv_num] + [inv_den]
-    if sum(map(mul, rows[-1], vec)) != 0:
-        raise ValueError("the matrix is nonsingular")
-    g = 0
-    for v in vec:
-        g = math.gcd(g, v)
-    if next(v for v in vec if v) < 0:
-        g = -g
-    return tuple(v // g for v in vec)

@@ -38,7 +38,7 @@ from typing import Callable, Collection, Container, Iterable, Iterator, NamedTup
 
 from .errors import InvariantError
 from .exactlin import Definiteness, definiteness, integer_inverse, pivot_frame, symmetric_elimination
-from .spectra import SignedGraph, connected_without, smith_classify
+from .spectra import SignedGraph, connected_without, smith_classify, walk_leg
 
 Q = Fraction
 
@@ -593,8 +593,12 @@ def _e8_roots() -> list[Root]:
 def graph_of(s: Union[RootSet, Sequence[Root]]) -> SignedGraph:
     """Simple graph on the roots (a root set, or any sequence of roots in
     that order): edge iff the inner product is nonzero."""
-    g = signed_graph_of(s)
-    return SignedGraph(g.n, [(u, v, 1) for u, v, _ in g.edges])
+    roots = tuple(s)
+    n = len(roots)
+    if n == 0:
+        raise ValueError("graph of an empty root set")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if _idot(roots[i], roots[j])]
+    return SignedGraph.unsigned(n, pairs)
 
 
 def signed_graph_of(s: Union[RootSet, Sequence[Root]]) -> SignedGraph:
@@ -1005,23 +1009,10 @@ def _canonical_base_order(base: Sequence[Root]) -> list[Root]:
     if max(degs) <= 2:
         ends = [i for i in range(n) if degs[i] <= 1]
         start = min(ends, key=lambda i: key(base[i]))
-        order = [start]
-        prev, cur = -1, start
-        while len(order) < n:
-            nxt = next(w for w in adj[cur] if w != prev)
-            order.append(nxt)
-            prev, cur = cur, nxt
-        return [base[i] for i in order]
+        (first,) = adj[start]
+        return [base[i] for i in [start] + walk_leg(adj, degs, start, first)]
     center = next(i for i in range(n) if degs[i] == 3)
-    legs: list[list[int]] = []
-    for first in adj[center]:
-        leg = [first]
-        prev, cur = center, first
-        while degs[cur] == 2:
-            nxt = next(w for w in adj[cur] if w != prev)
-            leg.append(nxt)
-            prev, cur = cur, nxt
-        legs.append(leg)
+    legs = [walk_leg(adj, degs, center, first) for first in adj[center]]
     legs.sort(key=lambda leg: (len(leg), [key(base[i]) for i in leg]))
     order = [center]
     for leg in legs:

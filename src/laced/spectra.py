@@ -3,17 +3,20 @@
 A connected unsigned graph has largest adjacency eigenvalue < 2, = 2, or > 2;
 the first two classes are exactly the finite and affine ADE shapes.  The
 shapes are recognized combinatorially and cross-validated against the exact
-definiteness trichotomy of 2I - A, and the marks vector of an affine shape is
-computed as the primitive kernel vector of 2I - A rather than tabulated.
+definiteness trichotomy of 2I - A.  The marks vector of an affine shape is
+read off that same elimination, as the primitive kernel vector of 2I - A,
+rather than tabulated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional
 
 from .errors import InvariantError
-from .exactlin import Definiteness, definiteness, primitive_kernel_vector
+from .exactlin import Definiteness, pivot_frame, symmetric_elimination
 
 
 class SignedGraph:
@@ -79,10 +82,7 @@ def shifted_gram_rows(g: SignedGraph, shift: int) -> list[list[int]]:
 
 def two_i_minus_adjacency_rows(g: SignedGraph) -> list[list[int]]:
     """Integer rows of 2I - A for the signed adjacency A."""
-    rows = [[-x for x in row] for row in g.adjacency_rows()]
-    for i in range(g.n):
-        rows[i][i] += 2
-    return rows
+    return [[-x for x in row] for row in shifted_gram_rows(g, -2)]
 
 
 def is_connected(g: SignedGraph) -> bool:
@@ -94,15 +94,7 @@ def _connected_neighbor_sets(g: SignedGraph) -> Optional[list[set[int]]]:
     if len(g.edges) < g.n - 1:
         return None  # decided before building one set per vertex
     adj = g.neighbor_sets()
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return adj if len(seen) == g.n else None
+    return adj if _reach_count(adj, 0) == g.n else None
 
 
 def connected_without(adj: list[set[int]], skip: int) -> bool:
@@ -110,16 +102,19 @@ def connected_without(adj: list[set[int]], skip: int) -> bool:
     n = len(adj)
     if n <= 1:
         return True
-    start = 0 if skip != 0 else 1
+    return _reach_count(adj, 0 if skip != 0 else 1, skip) == n - 1
+
+
+def _reach_count(adj: list[set[int]], start: int, skip: int = -1) -> int:
+    """Number of vertices reached from start without entering skip."""
     seen = {start}
     stack = [start]
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
+        for v in adj[stack.pop()]:
             if v != skip and v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen) == n - 1
+    return len(seen)
 
 
 @dataclass(frozen=True)
@@ -145,17 +140,14 @@ class SmithType:
         return f"{self.family}tilde{self.rank}"
 
 
-def _leg_lengths(adj: list[set[int]], degs: list[int], center: int) -> list[int]:
-    lengths = []
-    for start in sorted(adj[center]):
-        length = 1
-        prev, cur = center, start
-        while degs[cur] == 2:
-            nxt = next(w for w in adj[cur] if w != prev)
-            prev, cur = cur, nxt
-            length += 1
-        lengths.append(length)
-    return sorted(lengths)
+def walk_leg(adj: list[set[int]], degs: list[int], prev: int, cur: int) -> list[int]:
+    """The vertices from cur on, following degree-2 vertices away from prev,
+    up to and including the first vertex whose degree is not 2."""
+    leg = [cur]
+    while degs[cur] == 2:
+        prev, cur = cur, next(w for w in adj[cur] if w != prev)
+        leg.append(cur)
+    return leg
 
 
 _FINITE_LEGS = {(1, 2, 2): 6, (1, 2, 3): 7, (1, 2, 4): 8}
@@ -182,7 +174,7 @@ def _recognize(g: SignedGraph, adj: list[set[int]]) -> tuple[str, Optional[str],
         return "exceeds", None, None
     branch = [v for v in range(n) if degs[v] == 3]
     if len(branch) == 1:
-        legs = tuple(_leg_lengths(adj, degs, branch[0]))
+        legs = tuple(sorted(len(walk_leg(adj, degs, branch[0], w)) for w in adj[branch[0]]))
         if legs[:2] == (1, 1):
             return "finite", "D", legs[2] + 3
         if legs in _FINITE_LEGS:
@@ -201,10 +193,10 @@ def _recognize(g: SignedGraph, adj: list[set[int]]) -> tuple[str, Optional[str],
 def affine_marks(g: SignedGraph) -> tuple[int, ...]:
     """Marks vector of an affine shape: the primitive positive kernel vector
     of 2I - A, which satisfies alpha A = 2 alpha with minimum entry 1."""
-    kind, _, _ = _recognize(g, _unsigned_connected_neighbor_sets(g))
-    if kind != "affine":
+    marks = smith_classify(g).marks
+    if marks is None:
         raise ValueError("marks are defined only for affine shapes")
-    return _affine_marks_raw(g)
+    return marks
 
 
 def _unsigned_connected_neighbor_sets(g: SignedGraph) -> list[set[int]]:
@@ -216,41 +208,43 @@ def _unsigned_connected_neighbor_sets(g: SignedGraph) -> list[set[int]]:
     return adj
 
 
+_EXPECTED_DEFINITENESS = {
+    "finite": Definiteness.POSITIVE_DEFINITE,
+    "affine": Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR,
+    "exceeds": Definiteness.INDEFINITE,
+}
+
+
 def smith_classify(g: SignedGraph) -> SmithType:
     """Classify a connected unsigned graph against the eigenvalue-2 boundary.
 
-    The combinatorial decision is cross-validated against the exact
-    definiteness of 2I - A: finite shapes are positive definite, affine
+    The combinatorial decision is cross-validated against one exact
+    elimination of 2I - A: finite shapes are positive definite, affine
     shapes positive semidefinite singular, everything else indefinite.
+
+    The marks of an affine shape are read off that same elimination.  Every
+    proper induced subgraph of an affine shape is finite, so in any vertex
+    order the only zero pivot is at the last index.  pivot_frame writes that
+    index's vector over the others as c scaled by D, so the kernel of 2I - A
+    is spanned by (D c, -D); negated and made primitive, it is the marks
+    vector.
     """
     kind, family, rk = _recognize(g, _unsigned_connected_neighbor_sets(g))
-    marks = _affine_marks_raw(g) if kind == "affine" else None
-    if not _definiteness_matches(g, kind):
+    rows = two_i_minus_adjacency_rows(g)
+    found, upper = symmetric_elimination(rows)
+    if found is not _EXPECTED_DEFINITENESS[kind]:
         raise InvariantError(f"shape/definiteness disagreement for {g!r}")
-    return SmithType(kind, family, rk, marks)
-
-
-def _affine_marks_raw(g: SignedGraph) -> tuple[int, ...]:
-    # leaving out the last vertex of an affine shape leaves a finite one, so
-    # the minor the kernel helper inverts is nonsingular
-    try:
-        alpha = primitive_kernel_vector(two_i_minus_adjacency_rows(g))
-    except ValueError as e:
-        raise InvariantError(f"affine shape kernel is not one-dimensional: {e}")
-    if any(v <= 0 for v in alpha) or min(alpha) != 1:
+    if kind != "affine":
+        return SmithType(kind, family, rk)
+    pivots, den, coeffs = pivot_frame(upper)
+    if pivots != tuple(range(g.n - 1)):
+        raise InvariantError(f"affine shape pivots {pivots} are not all indices but the last")
+    vec = [-c for c in coeffs[-1]] + [den]
+    common = math.gcd(*vec)
+    alpha = tuple(v // common for v in vec)
+    if min(alpha) != 1:
         raise InvariantError(f"affine marks are not positive with minimum 1: {alpha}")
-    adj_rows = g.adjacency_rows()
-    for i in range(g.n):
-        if sum(adj_rows[i][j] * alpha[j] for j in range(g.n)) != 2 * alpha[i]:
-            raise InvariantError("marks vector does not satisfy alpha A = 2 alpha")
-    return alpha
-
-
-def _definiteness_matches(g: SignedGraph, kind: str) -> bool:
-    d = definiteness(two_i_minus_adjacency_rows(g))
-    expected = {
-        "finite": Definiteness.POSITIVE_DEFINITE,
-        "affine": Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR,
-        "exceeds": Definiteness.INDEFINITE,
-    }[kind]
-    return d is expected
+    # (2I - A) alpha = 0 is alpha A = 2 alpha
+    if any(sum(map(mul, row, alpha)) for row in rows):
+        raise InvariantError("marks vector does not satisfy alpha A = 2 alpha")
+    return SmithType(kind, family, rk, alpha)

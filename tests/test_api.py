@@ -44,5 +44,15 @@ def test_rational_matrix_toolkit_is_not_exported():
         assert name not in laced.__all__
         assert not hasattr(laced, name), name
     exactlin = importlib.import_module("laced.exactlin")
-    for name in ("RatMatrix", "rank", "solve", "kernel_basis", "primitive_integer_vector", "short_vectors", "integer_determinant"):
+    gone = (
+        "RatMatrix",
+        "rank",
+        "solve",
+        "kernel_basis",
+        "primitive_integer_vector",
+        "short_vectors",
+        "integer_determinant",
+        "primitive_kernel_vector",
+    )
+    for name in gone:
         assert not hasattr(exactlin, name), name

@@ -12,10 +12,9 @@ from laced.exactlin import (
     definiteness,
     integer_inverse,
     pivot_frame,
-    primitive_kernel_vector,
     symmetric_elimination,
 )
-from laced.spectra import two_i_minus_adjacency_rows
+from laced.spectra import SignedGraph, affine_marks, smith_classify, two_i_minus_adjacency_rows
 from ratref import (
     RatMatrix,
     kernel_basis,
@@ -25,7 +24,7 @@ from ratref import (
     short_vectors,
     solve,
 )
-from shapes import affine_shape, finite_shape
+from shapes import affine_shape
 
 PD = Definiteness.POSITIVE_DEFINITE
 PSD = Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR
@@ -175,12 +174,7 @@ def test_determinant_inverse_and_kernel_reject_non_integer_entries():
     # int() would truncate this: inv [[3/2]] to [[1]]
     with pytest.raises(ValueError, match="integer matrix"):
         integer_inverse([[Q(3, 2)]])
-    with pytest.raises(ValueError, match="integer matrix"):
-        primitive_kernel_vector([[2, -1], [-1, Q(1, 2)]])
-    with pytest.raises(ValueError, match="integer matrix"):
-        primitive_kernel_vector([[2, Q(-1, 2)], [Q(-1, 2), 2]])
     assert integer_inverse([[Q(2)]]) == ([[1]], 2)
-    assert primitive_kernel_vector([[Q(2), Q(-2)], [Q(-2), Q(2)]]) == (1, 1)
 
 
 def test_definiteness_zero_pivot_cases():
@@ -408,7 +402,7 @@ def test_definiteness_matches_rational_elimination():
     assert leading_zero >= 1000
 
 
-# --- primitive_kernel_vector ----------------------------------------------
+# --- affine marks -------------------------------------------------------
 
 
 def reference_kernel_vector(rows):
@@ -418,32 +412,39 @@ def reference_kernel_vector(rows):
 
 
 def test_kernel_vector_of_every_affine_shape():
+    # smith_classify and affine_marks read the marks off the elimination of
+    # 2I - A that cross-checks the shape
     rng = random.Random(1111)
     labels = [("A", n) for n in range(2, 13)] + [("D", n) for n in range(4, 13)]
     labels += [("E", 6), ("E", 7), ("E", 8)]
     for family, rk in labels:
         g = affine_shape(family, rk)
-        rows = two_i_minus_adjacency_rows(g)
-        assert primitive_kernel_vector(rows) == reference_kernel_vector(rows), (family, rk)
-        # relabelled copies leave out a different vertex
-        for _ in range(3):
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            moved = [[rows[perm[i]][perm[j]] for j in range(g.n)] for i in range(g.n)]
-            assert primitive_kernel_vector(moved) == reference_kernel_vector(moved), (family, rk)
+        # relabelled copies put a different vertex last
+        for moved in [g] + [relabelled(g, rng) for _ in range(3)]:
+            want = reference_kernel_vector(two_i_minus_adjacency_rows(moved))
+            assert smith_classify(moved).marks == want, (family, rk)
+            assert affine_marks(moved) == want, (family, rk)
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return SignedGraph.unsigned(g.n, [sorted((perm[u], perm[v])) for u, v, _ in g.edges])
 
 
 def test_kernel_vector_of_affine_exchange_grams(monkeypatch):
     import laced.roots
-    import laced.spectra
 
     met = []
+    classify_shape = laced.roots.smith_classify
 
-    def recording(rows):
-        met.append([list(r) for r in rows])
-        return primitive_kernel_vector(rows)
+    def recording(g):
+        st = classify_shape(g)
+        if st.kind == "affine":
+            met.append((g, st.marks))
+        return st
 
-    monkeypatch.setattr(laced.spectra, "primitive_kernel_vector", recording)
+    monkeypatch.setattr(laced.roots, "smith_classify", recording)
     rng = random.Random(2008)
     labels = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 9)] + ["E6", "E7", "E8"]
     for label in labels:
@@ -456,23 +457,8 @@ def test_kernel_vector_of_affine_exchange_grams(monkeypatch):
             signs = [rng.choice([1, -1]) for _ in range(dim)]
             laced.roots.find_base(laced.roots.signed_permute(phi, perm, signs))
     assert met
-    for rows in met:
-        assert primitive_kernel_vector(rows) == reference_kernel_vector(rows)
-
-
-def test_kernel_vector_requires_corank_one():
-    # corank 0
-    for rows in ([[2, -1], [-1, 2]], [[1, 0], [0, 1]], two_i_minus_adjacency_rows(finite_shape("E", 8))):
-        with pytest.raises(ValueError):
-            primitive_kernel_vector(rows)
-    # corank >= 2: the minor leaving out the last index is singular
-    two_cycles = [[2, -1, -1, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [-1, -1, 2, 0, 0, 0],
-                  [0, 0, 0, 2, -1, -1], [0, 0, 0, -1, 2, -1], [0, 0, 0, -1, -1, 2]]
-    for rows in (two_cycles, [[0, 0], [0, 0]], [[0] * 3 for _ in range(3)]):
-        with pytest.raises(ValueError):
-            primitive_kernel_vector(rows)
-    assert primitive_kernel_vector(TRIANGLE_GRAM) == (1, 1, 1)
-    assert primitive_kernel_vector([[1, 2], [2, 4]]) == (2, -1)
+    for g, marks in met:
+        assert marks == reference_kernel_vector(two_i_minus_adjacency_rows(g))
 
 
 def test_pivot_frame_matches_rational_solves():

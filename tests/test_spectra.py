@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from laced.errors import InvariantError
 from laced.exactlin import Definiteness, definiteness
 from laced.spectra import (
     SignedGraph,
@@ -184,3 +185,42 @@ def test_smith_classify_builds_the_neighbor_sets_once(monkeypatch):
         calls.clear()
         assert smith_classify(g).kind == kind
         assert calls == [g.n]
+
+
+def test_smith_classify_runs_one_elimination(monkeypatch):
+    # the definiteness cross-check and the affine marks share one elimination
+    # of 2I - A, built once
+    import laced.spectra
+
+    calls = []
+    eliminate = laced.spectra.symmetric_elimination
+    build = laced.spectra.two_i_minus_adjacency_rows
+
+    def counted(rows):
+        calls.append("eliminate")
+        return eliminate(rows)
+
+    def built(g):
+        calls.append("build")
+        return build(g)
+
+    monkeypatch.setattr(laced.spectra, "symmetric_elimination", counted)
+    monkeypatch.setattr(laced.spectra, "two_i_minus_adjacency_rows", built)
+    cases = [(finite_shape("E", 7), "finite"), (affine_shape("D", 6), "affine"), (star_graph(5), "exceeds")]
+    for g, kind in cases:
+        calls.clear()
+        assert smith_classify(g).kind == kind
+        assert calls == ["build", "eliminate"], kind
+
+
+def test_shape_and_definiteness_disagreement_is_an_invariant_error(monkeypatch):
+    # a recognizer that misreports the shape is caught by the elimination,
+    # both ways round
+    import laced.spectra
+
+    for g, claim in [(finite_shape("E", 7), ("affine", "E", 7)), (affine_shape("D", 6), ("finite", "D", 7))]:
+        monkeypatch.setattr(laced.spectra, "_recognize", lambda g, adj, claim=claim: claim)
+        with pytest.raises(InvariantError, match="disagreement"):
+            smith_classify(g)
+        with pytest.raises(InvariantError, match="disagreement"):
+            affine_marks(g)
