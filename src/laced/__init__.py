@@ -20,14 +20,10 @@ from .roots import (
     find_base,
     gen,
     graph_of,
-    inner_product,
-    is_obtuse,
     is_root_system,
     isometry_to_canonical,
     lattice_root,
     parse_type,
-    reflect,
-    signed_graph_of,
     signed_permute,
 )
 from .spectra import SignedGraph, SmithType, affine_marks, smith_classify
@@ -56,14 +52,10 @@ __all__ = [
     "find_base",
     "gen",
     "graph_of",
-    "inner_product",
-    "is_obtuse",
     "is_root_system",
     "isometry_to_canonical",
     "lattice_root",
     "parse_type",
-    "reflect",
-    "signed_graph_of",
     "signed_permute",
     "smith_classify",
     "verify_certificate",

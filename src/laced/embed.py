@@ -70,11 +70,11 @@ def embed(g: SignedGraph) -> EmbeddingCertificate:
         raise ValueError("embedding requires a connected graph")
     rows = shifted_gram_rows(g, 2)
     # the one elimination of A + 2I decides definiteness and gives the
-    # pivot generators that the intrinsic roots are stored over
-    kind, upper = symmetric_elimination(rows)
+    # pivot frame that the intrinsic roots are stored over
+    kind, frame = symmetric_elimination(rows)
     if kind is Definiteness.INDEFINITE:
         raise ValueError(LEAST_EIGENVALUE_DIAGNOSTIC)
-    space = FormSpace._trusted(tuple(map(tuple, rows)), upper)
+    space = FormSpace._trusted(tuple(map(tuple, rows)), frame)
     generators = _unit_roots(space)
     seed = RootSet.of(space, generators, validate=False)
     phi = closure(seed)

@@ -1,12 +1,14 @@
 """Exact linear algebra on integer matrices.
 
-Every decision that matters downstream (definiteness and the pivot frame of
-a Gram form, and the inverse) is fraction-free elimination in Bareiss form on
-arbitrary-precision integers: each division by the previous pivot is exact,
-so no rational is ever built.
-Floating point never appears here; tests cross-check the definiteness
-trichotomy against a floating eigensolver and a rational eliminator, but the
-trusted path is exact.
+Two fraction-free eliminations in Bareiss form on arbitrary-precision
+integers, where each division by the previous pivot is exact, so no rational
+is ever built.  symmetric_elimination, left-looking, is the one that decides
+definiteness: in one call it gives the trichotomy of a symmetric matrix and,
+for a positive semidefinite Gram form, its pivot frame, the pivots and every
+index's coefficients over them.  integer_inverse gives the inverse.
+Floating point never appears here; tests cross-check the trichotomy and the
+frame against a floating eigensolver, a rational eliminator and the
+right-looking elimination, but the trusted path is exact.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import InvariantError
 
@@ -25,13 +27,16 @@ class Definiteness(Enum):
     INDEFINITE = "indefinite"
 
 
-def _integer_rows(rows: Sequence[Sequence[int]], who: str) -> list[list[int]]:
+def _integer_rows(rows: Sequence[Sequence[int]], who: str, what: str = "matrix") -> list[list[int]]:
     """The rows as lists of ints.  Raises ValueError on an entry that is not
     an integral value, which int() would otherwise truncate."""
     a = [list(map(int, r)) for r in rows]
     if a != [list(r) for r in rows]:
-        raise ValueError(f"{who} requires an integer matrix")
+        raise ValueError(f"{who} requires an integer {what}")
     return a
+
+
+Frame = tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]
 
 
 def definiteness(rows: Sequence[Sequence[int]]) -> Definiteness:
@@ -40,108 +45,119 @@ def definiteness(rows: Sequence[Sequence[int]]) -> Definiteness:
     return symmetric_elimination(rows)[0]
 
 
-def symmetric_elimination(rows: Sequence[Sequence[int]]) -> tuple[Definiteness, list[list[int]]]:
-    """Exact trichotomy of a symmetric integer matrix, with the rows it leaves.
+def symmetric_elimination(rows: Sequence[Sequence[int]]) -> tuple[Definiteness, Optional[Frame]]:
+    """Exact trichotomy of a symmetric integer matrix M and, unless M is
+    indefinite, its pivot frame (P, D, coefficients).
 
-    Fraction-free symmetric elimination in Bareiss form, processing the
-    diagonal in order: a_ij <- (d * a_ij - a_ki * a_kj) / prev, where d is
-    the current pivot and prev the last nonzero one, and every division is
-    exact.  Since every earlier pivot was positive, d has the sign of the
-    rational pivot.  A zero pivot is deferred: if its entire residual row
-    vanishes the matrix can still be positive semidefinite and the index is
-    skipped without changing prev, otherwise a 2x2 indefinite block has been
-    found.  No pivot permutation is performed.
+    Fraction-free elimination in Bareiss form, left-looking: the indices are
+    taken in order, and index j's column is carried through the stages of
+    the pivots p_1..p_k found so far, a_xj <- (d_s * a_xj - a_sx * a_sj) /
+    d_{s-1} for x = p_{s+1}..p_k, j, with every division exact.  d_s is the
+    s-th pivot, the determinant of the minor on p_1..p_s (d_0 = 1), and
+    a_sx is row p_s of the upper factor U, stored with that pivot.  An entry
+    that is zero with a zero cross term stays zero and is skipped.  The
+    residual w_j = a_jj is the determinant of the minor on p_1..p_k, j, so
+    it has the sign of the rational pivot: j becomes a pivot when w_j > 0,
+    and M is indefinite when w_j < 0.  Each index costs O(k^2).
 
-    Unless the matrix is indefinite, the returned rows are the upper factor
-    of the elimination: row k, from column k on, is row k as it stood when k
-    was processed, so its diagonal entry is the pivot (the determinant of
-    the minor on the nonzero pivots up to k) or 0 at a skipped index.
-    pivot_frame reads the dependencies of the skipped indices off it.
+    When w_j = 0, j is dependent.  Its coefficients c_j over the pivots
+    solve G_PP c = G_Pj, and since the stages carry G into U, d_k * c_j is
+    an integer vector found by back substitution on the column just
+    computed and the stored pivot rows, with exact divisions.  Then
+    x_j = d_k * e_j - d_k * c_j has x_j^T M x_j = d_k * w_j = 0, which in a
+    positive semidefinite M forces M x_j = 0.  That check, run on the
+    nonzero entries of M in the rows after j, catches an indefinite M such
+    as [[0, 1], [1, 0]]; it is the right-looking test that a zero pivot's
+    residual row vanishes.  Positive pivots and M x_j = 0 for every
+    dependent j is exactly positive semidefiniteness: in the basis
+    {e_p} + {x_j}, M is the positive definite G_PP plus zero.
+
+    P holds the pivots, taken greedily in index order.  For a Gram form G of
+    vectors v_0..v_{n-1}, the v_p, p in P, are independent, and each
+    dependent v_j is, modulo the radical of G, the combination sum c_jp v_p
+    over the pivots p < j.  D is the lcm of the reduced denominators of all
+    c_j (1 when M is nonsingular), and index i's coefficients are returned
+    scaled by D, as a tuple of length |P|: D times a unit vector for a pivot.
     """
     a = _integer_rows(rows, "definiteness")
-    n = len(a)
-    if n == 0 or any(len(r) != n for r in a) or any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+    # a list equal to its transpose is square and symmetric
+    if not a or list(map(list, zip(*a))) != a:
         raise ValueError("definiteness requires a symmetric matrix")
-    prev = 1
-    saw_zero = False
-    for k in range(n):
-        ak = a[k]
-        d = ak[k]
-        if d < 0:
-            return Definiteness.INDEFINITE, a
-        if d == 0:
-            # residual row must vanish, else [[0, x], [x, *]] is indefinite
-            if any(ak[j] != 0 for j in range(k + 1, n)):
-                return Definiteness.INDEFINITE, a
-            saw_zero = True
-            continue
-        # Schur complement update; only the upper triangle is maintained,
-        # every later read goes through a[min][max].
-        for i in range(k + 1, n):
-            f = ak[i]
-            ai = a[i]
-            for j in range(i, n):
-                q, rem = divmod(d * ai[j] - f * ak[j], prev)
+    n = len(a)
+    pivots: list[int] = []
+    dets = [1]  # dets[s]: the determinant of the minor on the first s pivots
+    tails: list[list[int]] = []  # tails[s]: U[p_s][p_t] for the pivots p_t after p_s
+    solved: dict[int, tuple[list[int], int]] = {}  # dependent j -> (d * c_j, d), in lowest terms
+    # row q's nonzero columns after the dependent index that first needs
+    # them, last first; built only on demand
+    later: list[Optional[list[int]]] = [None] * n
+    for j in range(n):
+        aj = a[j]
+        col = [aj[p] for p in pivots]
+        w = aj[j]
+        for s, tail in enumerate(tails):
+            u = col[s]
+            d, prev = dets[s + 1], dets[s]
+            for t, f in enumerate(tail, s + 1):
+                x = col[t]
+                if x or (f and u):
+                    x, rem = divmod(d * x - f * u, prev)
+                    if rem:
+                        raise InvariantError("inexact division in symmetric Bareiss elimination")
+                    col[t] = x
+            if w or u:
+                w, rem = divmod(d * w - u * u, prev)
                 if rem:
                     raise InvariantError("inexact division in symmetric Bareiss elimination")
-                ai[j] = q
-        prev = d
-    if saw_zero:
-        return Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR, a
-    return Definiteness.POSITIVE_DEFINITE, a
-
-
-def pivot_frame(upper: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
-    """Pivots P, denominator D and every index's coefficients over P, read
-    off the upper factor that symmetric_elimination leaves for a positive
-    semidefinite Gram form G of vectors v_0..v_{n-1}.
-
-    P holds the indices with a nonzero pivot; the v_p, p in P, are
-    independent and each skipped v_j is, modulo the radical of G, the
-    combination sum c_jp v_p over the pivots p < j.  Row operations carry G
-    into the upper factor U, so c_j solves the triangular system
-    U[p][j] = sum over q in P, p <= q < j, of U[p][q] c_jq for p in P, p < j.
-    Its matrix has determinant d, the last pivot before j, and d * c_j is an
-    integer vector found by back substitution with exact divisions.  D is
-    the lcm of the reduced denominators of all c_j (1 when G is
-    nonsingular), and index i's coefficients are returned scaled by D, as a
-    tuple of length |P|: D times a unit vector for a pivot.
-    """
-    n = len(upper)
-    pivots = tuple(k for k in range(n) if upper[k][k])
-    r = len(pivots)
-    # tails[a] = U[p_a][p_b] for the pivots p_b after p_a
-    tails = [[upper[p][q] for q in pivots[a + 1 :]] for a, p in enumerate(pivots)]
-    solved: dict[int, tuple[list[int], int]] = {}  # skipped index j -> (d * c_j, d)
-    k = 0  # pivots before j
-    for j in range(n):
-        if k < r and pivots[k] == j:
-            k += 1
+        if w > 0:
+            for tail, u in zip(tails, col):
+                tail.append(u)
+            tails.append([])
+            pivots.append(j)
+            dets.append(w)
             continue
-        if k == 0:
-            solved[j] = ([], 1)
-            continue
-        d = upper[pivots[k - 1]][pivots[k - 1]]
+        if w < 0:
+            return Definiteness.INDEFINITE, None
+        k = len(col)
+        d = dets[k]
         y = [0] * k
-        for a in range(k - 1, -1, -1):
-            row = upper[pivots[a]]
-            y[a], rem = divmod(d * row[j] - sum(map(mul, tails[a], y[a + 1 :])), row[pivots[a]])
+        for s in range(k - 1, -1, -1):
+            y[s], rem = divmod(d * col[s] - sum(map(mul, tails[s], y[s + 1 :])), dets[s + 1])
             if rem:
                 raise InvariantError("inexact division in the pivot back substitution")
+        if j + 1 < n:
+            # -M x_j on the rows after j.  The rows up to j vanish already: a
+            # pivot's by the solve, j's as x_j^T M x_j = 0, and an earlier
+            # dependent i's as M x_i = 0 and e_i is x_i / d_i plus pivots.
+            image = [0] * n
+            for q, c in zip([j, *pivots], [-d, *y]):
+                if c:
+                    aq = a[q]
+                    nz = later[q]
+                    if nz is None:
+                        nz = later[q] = [i for i in range(n - 1, j, -1) if aq[i]]
+                    for i in nz:
+                        if i <= j:
+                            break
+                        image[i] += c * aq[i]
+            if any(image):
+                return Definiteness.INDEFINITE, None
         g = math.gcd(d, *y)
         solved[j] = ([v // g for v in y], d // g)
-    den = math.lcm(1, *(q for _, q in solved.values()))
+    r = len(pivots)
+    den = math.lcm(*(q for _, q in solved.values()))
     coeffs = []
-    a = 0
+    b = 0  # pivots before j
     for j in range(n):
         if j in solved:
             y, q = solved[j]
             f = den // q
             coeffs.append(tuple(v * f for v in y) + (0,) * (r - len(y)))
         else:
-            coeffs.append((0,) * a + (den,) + (0,) * (r - a - 1))
-            a += 1
-    return pivots, den, tuple(coeffs)
+            coeffs.append((0,) * b + (den,) + (0,) * (r - b - 1))
+            b += 1
+    kind = Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR if solved else Definiteness.POSITIVE_DEFINITE
+    return kind, (tuple(pivots), den, tuple(coeffs))
 
 
 def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:

@@ -37,7 +37,7 @@ from operator import add, mul, sub
 from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvariantError
-from .exactlin import Definiteness, definiteness, integer_inverse, pivot_frame, symmetric_elimination
+from .exactlin import Definiteness, Frame, _integer_rows, integer_inverse, symmetric_elimination
 from .spectra import SignedGraph, connected_without, smith_classify, walk_leg
 
 Q = Fraction
@@ -81,7 +81,7 @@ class FormSpace:
     __slots__ = ("gram", "_hash", "pivots", "pivot_gram", "den", "_units")
 
     def __init__(self, gram: Sequence[Sequence[int]]) -> None:
-        grid = tuple(tuple(int(x) for x in row) for row in gram)
+        grid = tuple(map(tuple, _integer_rows(gram, "FormSpace")))
         n = len(grid)
         if n == 0 or any(len(row) != n for row in grid):
             raise ValueError("Gram form must be square")
@@ -89,23 +89,23 @@ class FormSpace:
             raise ValueError("Gram form must be symmetric")
         if any(grid[i][i] != 2 for i in range(n)):
             raise ValueError("Gram form must have diagonal 2")
-        kind, upper = symmetric_elimination(grid)
+        kind, frame = symmetric_elimination(grid)
         if kind is Definiteness.INDEFINITE:
             raise ValueError("Gram form must be positive semidefinite")
-        self._fill(grid, upper)
+        self._fill(grid, frame)
 
     @classmethod
-    def _trusted(cls, grid: tuple[tuple[int, ...], ...], upper: Sequence[Sequence[int]]) -> "FormSpace":
+    def _trusted(cls, grid: tuple[tuple[int, ...], ...], frame: Frame) -> "FormSpace":
         # caller has already established symmetry, diagonal 2 and
-        # semidefiniteness, and passes the upper factor of that elimination
+        # semidefiniteness, and passes the pivot frame of that elimination
         obj = object.__new__(cls)
-        obj._fill(grid, upper)
+        obj._fill(grid, frame)
         return obj
 
-    def _fill(self, grid: tuple[tuple[int, ...], ...], upper: Sequence[Sequence[int]]) -> None:
+    def _fill(self, grid: tuple[tuple[int, ...], ...], frame: Frame) -> None:
         self.gram = grid
         self._hash = hash(grid)
-        self.pivots, self.den, self._units = pivot_frame(upper)
+        self.pivots, self.den, self._units = frame
         self.pivot_gram = tuple(tuple(grid[p][q] for q in self.pivots) for p in self.pivots)
 
     @property
@@ -291,7 +291,7 @@ def ambient_root(space: AmbientSpace, coords: Sequence) -> Root:
 
 def lattice_root(space: FormSpace, coeffs: Sequence[int]) -> Root:
     """Build an intrinsic root from integer coefficients over the form's generators."""
-    given = tuple(int(c) for c in coeffs)
+    given = tuple(_integer_rows([coeffs], "lattice_root", "coefficient vector")[0])
     if len(given) != space.n:
         raise ValueError(f"expected {space.n} coefficients, got {len(given)}")
     nums = [0] * len(space.pivots)
@@ -367,19 +367,6 @@ def _reflect(x: Root, y: Root, t: int) -> Root:
     fx = lcm // dx
     fy = t * (lcm // dy)
     return _make_ambient(x.space, tuple(a * fx - b * fy for a, b in zip(x.nums, y.nums)), lcm)
-
-
-def inner_product(x: Root, y: Root) -> Fraction:
-    """Exact inner product of two roots in the same space."""
-    return x.dot(y)
-
-
-def reflect(x: Root, y: Root) -> Root:
-    """x - <x,y> y; requires an integer inner product."""
-    t = x.dot(y)
-    if t.denominator != 1:
-        raise ValueError(f"reflection requires an integer inner product, got {t}")
-    return _reflect(x, y, int(t))
 
 
 class RootSet:
@@ -601,21 +588,6 @@ def graph_of(s: Union[RootSet, Sequence[Root]]) -> SignedGraph:
     return SignedGraph.unsigned(n, pairs)
 
 
-def signed_graph_of(s: Union[RootSet, Sequence[Root]]) -> SignedGraph:
-    """Variant of graph_of labelling each edge with the inner product's sign."""
-    roots = tuple(s)
-    n = len(roots)
-    if n == 0:
-        raise ValueError("graph of an empty root set")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = _idot(roots[i], roots[j])
-            if t:
-                edges.append((i, j, 1 if t > 0 else -1))
-    return SignedGraph(n, edges)
-
-
 def components(s: RootSet) -> list[RootSet]:
     """Connected components of graph_of(s), as sub-root-sets."""
     roots = s.roots
@@ -642,25 +614,6 @@ def components(s: RootSet) -> list[RootSet]:
         RootSet._assembled(s.space, [roots[i] for i in part], flag=flag)
         for part in parts
     ]
-
-
-def is_obtuse(s: RootSet) -> bool:
-    """Linearly independent with all distinct pairwise inner products <= 0.
-
-    A Gram matrix of roots is positive semidefinite, so the roots are
-    independent exactly when it is positive definite; in the intrinsic case
-    that is independence modulo the radical of the form.
-    """
-    roots = s.roots
-    n = len(roots)
-    if n == 0:
-        return True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _idot(roots[i], roots[j]) > 0:
-                return False
-    gram = [[_idot(a, b) for b in roots] for a in roots]
-    return definiteness(gram) is Definiteness.POSITIVE_DEFINITE
 
 
 def is_root_system(s: RootSet) -> bool:

@@ -16,7 +16,7 @@ from operator import mul
 from typing import Iterable, Optional
 
 from .errors import InvariantError
-from .exactlin import Definiteness, pivot_frame, symmetric_elimination
+from .exactlin import Definiteness, symmetric_elimination
 
 
 class SignedGraph:
@@ -224,19 +224,19 @@ def smith_classify(g: SignedGraph) -> SmithType:
 
     The marks of an affine shape are read off that same elimination.  Every
     proper induced subgraph of an affine shape is finite, so in any vertex
-    order the only zero pivot is at the last index.  pivot_frame writes that
-    index's vector over the others as c scaled by D, so the kernel of 2I - A
-    is spanned by (D c, -D); negated and made primitive, it is the marks
-    vector.
+    order the only zero pivot is at the last index.  The pivot frame the
+    elimination returns writes that index's vector over the others as c
+    scaled by D, so the kernel of 2I - A is spanned by (D c, -D); negated
+    and made primitive, it is the marks vector.
     """
     kind, family, rk = _recognize(g, _unsigned_connected_neighbor_sets(g))
     rows = two_i_minus_adjacency_rows(g)
-    found, upper = symmetric_elimination(rows)
+    found, frame = symmetric_elimination(rows)
     if found is not _EXPECTED_DEFINITENESS[kind]:
         raise InvariantError(f"shape/definiteness disagreement for {g!r}")
     if kind != "affine":
         return SmithType(kind, family, rk)
-    pivots, den, coeffs = pivot_frame(upper)
+    pivots, den, coeffs = frame
     if pivots != tuple(range(g.n - 1)):
         raise InvariantError(f"affine shape pivots {pivots} are not all indices but the last")
     vec = [-c for c in coeffs[-1]] + [den]

@@ -4,22 +4,25 @@ The package works on integer matrices only.  The rational matrix toolkit it
 used before lives on here unchanged, as an independent reference: RatMatrix
 with rank, solve, kernel_basis and primitive_integer_vector, the signed
 adjacency as a RatMatrix, the symmetric elimination with Fraction pivots that
-integer definiteness must agree with, the Fraction formula for the isometry
-matrix, the short-vector enumeration that is an independent oracle for the
-reflection closure, the Fraction-per-token vector-file reader that the
-scaled-integer one must agree with, and the intrinsic root over all n
+integer definiteness must agree with, the right-looking integer elimination
+whose pivot frame the left-looking one must reproduce, the Fraction formula
+for the isometry matrix, the short-vector enumeration that is an independent
+oracle for the reflection closure, the Fraction-per-token vector-file reader
+that the scaled-integer one must agree with, the intrinsic root over all n
 generators of a Gram form that the roots over pivot generators must order
-exactly as.
+exactly as, and the signed graph and obtuseness test of a set of roots.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import mul
+from typing import Optional, Sequence, Union
 
 from laced.cli import ParseError, _meaningful_lines
-from laced.exactlin import Definiteness, definiteness, integer_inverse
+from laced.errors import InvariantError
+from laced.exactlin import Definiteness, _integer_rows, definiteness
 from laced.roots import (
     AmbientSpace,
     FormSpace,
@@ -211,6 +214,114 @@ def rational_definiteness(m: RatMatrix) -> Definiteness:
     return Definiteness.POSITIVE_DEFINITE
 
 
+def right_looking_elimination(
+    rows: Sequence[Sequence[int]],
+) -> tuple[Definiteness, Optional[tuple], list[list[int]]]:
+    """The trichotomy, the pivot frame and the upper factor of a symmetric
+    integer matrix, by the right-looking elimination the package used
+    before its left-looking one, which must agree with it.
+
+    Fraction-free symmetric elimination in Bareiss form, processing the
+    diagonal in order: a_ij <- (d * a_ij - a_ki * a_kj) / prev, where d is
+    the current pivot and prev the last nonzero one, and every division is
+    exact.  Since every earlier pivot was positive, d has the sign of the
+    rational pivot.  A zero pivot is deferred: if its entire residual row
+    vanishes the matrix can still be positive semidefinite and the index is
+    skipped without changing prev, otherwise a 2x2 indefinite block has been
+    found.  No pivot permutation is performed.
+
+    Unless the matrix is indefinite, the returned rows are the upper factor
+    of the elimination: row k, from column k on, is row k as it stood when k
+    was processed, so its diagonal entry is the pivot (the determinant of
+    the minor on the nonzero pivots up to k) or 0 at a skipped index.  The
+    frame (P, D, coefficients) is read off it by _frame_of_upper; it is None
+    for an indefinite matrix.
+    """
+    kind, a = _right_looking(rows)
+    return kind, None if kind is Definiteness.INDEFINITE else _frame_of_upper(a), a
+
+
+def _right_looking(rows: Sequence[Sequence[int]]) -> tuple[Definiteness, list[list[int]]]:
+    a = _integer_rows(rows, "definiteness")
+    n = len(a)
+    if n == 0 or any(len(r) != n for r in a) or any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("definiteness requires a symmetric matrix")
+    prev = 1
+    saw_zero = False
+    for k in range(n):
+        ak = a[k]
+        d = ak[k]
+        if d < 0:
+            return Definiteness.INDEFINITE, a
+        if d == 0:
+            # residual row must vanish, else [[0, x], [x, *]] is indefinite
+            if any(ak[j] != 0 for j in range(k + 1, n)):
+                return Definiteness.INDEFINITE, a
+            saw_zero = True
+            continue
+        # Schur complement update; only the upper triangle is maintained,
+        # every later read goes through a[min][max].
+        for i in range(k + 1, n):
+            f = ak[i]
+            ai = a[i]
+            for j in range(i, n):
+                q, rem = divmod(d * ai[j] - f * ak[j], prev)
+                if rem:
+                    raise InvariantError("inexact division in symmetric Bareiss elimination")
+                ai[j] = q
+        prev = d
+    if saw_zero:
+        return Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR, a
+    return Definiteness.POSITIVE_DEFINITE, a
+
+
+def _frame_of_upper(upper: Sequence[Sequence[int]]) -> tuple:
+    """Pivots P, denominator D and every index's coefficients over P, read
+    off the upper factor of a positive semidefinite Gram form G.
+
+    Row operations carry G into the upper factor U, so a skipped index j's
+    coefficients c_j over the pivots p < j solve the triangular system
+    U[p][j] = sum over q in P, p <= q < j, of U[p][q] c_jq for p in P, p < j.
+    Its matrix has determinant d, the last pivot before j, and d * c_j is an
+    integer vector found by back substitution with exact divisions.
+    """
+    n = len(upper)
+    pivots = tuple(k for k in range(n) if upper[k][k])
+    r = len(pivots)
+    # tails[a] = U[p_a][p_b] for the pivots p_b after p_a
+    tails = [[upper[p][q] for q in pivots[a + 1 :]] for a, p in enumerate(pivots)]
+    solved: dict[int, tuple[list[int], int]] = {}  # skipped index j -> (d * c_j, d)
+    k = 0  # pivots before j
+    for j in range(n):
+        if k < r and pivots[k] == j:
+            k += 1
+            continue
+        if k == 0:
+            solved[j] = ([], 1)
+            continue
+        d = upper[pivots[k - 1]][pivots[k - 1]]
+        y = [0] * k
+        for a in range(k - 1, -1, -1):
+            row = upper[pivots[a]]
+            y[a], rem = divmod(d * row[j] - sum(map(mul, tails[a], y[a + 1 :])), row[pivots[a]])
+            if rem:
+                raise InvariantError("inexact division in the pivot back substitution")
+        g = math.gcd(d, *y)
+        solved[j] = ([v // g for v in y], d // g)
+    den = math.lcm(1, *(q for _, q in solved.values()))
+    coeffs = []
+    a = 0
+    for j in range(n):
+        if j in solved:
+            y, q = solved[j]
+            f = den // q
+            coeffs.append(tuple(v * f for v in y) + (0,) * (r - len(y)))
+        else:
+            coeffs.append((0,) * a + (den,) + (0,) * (r - a - 1))
+            a += 1
+    return pivots, den, tuple(coeffs)
+
+
 def primitive_integer_vector(vec: Sequence) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector.
 
@@ -242,12 +353,13 @@ def adjacency(g: SignedGraph) -> RatMatrix:
 def isometry_matrix(omega, base, t) -> tuple[tuple[Fraction, ...], ...]:
     """The isometry matrix of roots._isometry, built with Fraction sums from
     the same base: Y Ginv B for the target base columns Y, the inverse Gram
-    matrix of the canonically ordered base and its inner-product rows B."""
+    matrix of the canonically ordered base and its inner-product rows B.
+    Ginv B comes from Fraction solves, so it shares no elimination with the
+    integer inverse that _isometry uses."""
     ordered = _canonical_base_order(base)
     target = _canonical_ordered_base(t)
     m = len(ordered)
-    gram = [[_idot(a, b) for b in ordered] for a in ordered]
-    inv_num, inv_den = integer_inverse(gram)
+    gram = RatMatrix([[_idot(a, b) for b in ordered] for a in ordered])
     domain = omega.space
     if type(domain) is FormSpace:
         in_dim = domain.n
@@ -255,17 +367,50 @@ def isometry_matrix(omega, base, t) -> tuple[tuple[Fraction, ...], ...]:
     else:
         in_dim = domain.dim
         b_rows = [list(r.coords) for r in ordered]
-    # coords -> base coefficients: Ginv @ B
-    coeff_rows = [
-        [sum(Q(inv_num[a][j]) * b_rows[j][k] for j in range(m)) / inv_den for k in range(in_dim)]
-        for a in range(m)
-    ]
+    # coords -> base coefficients: Ginv @ B, one Fraction solve per column
+    coeff_cols = [solve(gram, [row[k] for row in b_rows]) for k in range(in_dim)]
+    coeff_rows = [[col[a] for col in coeff_cols] for a in range(m)]
     codomain = AmbientSpace(t.ambient_dim)
     y_cols = [r.coords for r in target]
     return tuple(
         tuple(sum(y_cols[a][i] * coeff_rows[a][k] for a in range(m)) for k in range(in_dim))
         for i in range(codomain.dim)
     )
+
+
+def signed_graph_of(s: Union[RootSet, Sequence[Root]]) -> SignedGraph:
+    """The graph of the roots (a root set, or any sequence of roots in that
+    order): edge iff the inner product is nonzero, labelled with its sign."""
+    roots = tuple(s)
+    n = len(roots)
+    if n == 0:
+        raise ValueError("graph of an empty root set")
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            t = _idot(roots[i], roots[j])
+            if t:
+                edges.append((i, j, 1 if t > 0 else -1))
+    return SignedGraph(n, edges)
+
+
+def is_obtuse(s: RootSet) -> bool:
+    """Linearly independent with all distinct pairwise inner products <= 0.
+
+    A Gram matrix of roots is positive semidefinite, so the roots are
+    independent exactly when it is positive definite; in the intrinsic case
+    that is independence modulo the radical of the form.
+    """
+    roots = s.roots
+    n = len(roots)
+    if n == 0:
+        return True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _idot(roots[i], roots[j]) > 0:
+                return False
+    gram = [[_idot(a, b) for b in roots] for a in roots]
+    return definiteness(gram) is Definiteness.POSITIVE_DEFINITE
 
 
 def _sqrt_upper(r: Fraction) -> Fraction:

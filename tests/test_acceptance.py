@@ -29,7 +29,6 @@ from laced.roots import (
     find_base,
     gen,
     graph_of,
-    is_obtuse,
     isometry_to_canonical,
     lattice_root,
     parse_type,
@@ -43,7 +42,7 @@ from laced.spectra import (
     two_i_minus_adjacency_rows,
 )
 from graphgen import connected_graphs_up_to
-from ratref import RatMatrix, short_vectors
+from ratref import RatMatrix, is_obtuse, short_vectors
 from shapes import affine_shape, finite_shape
 
 PD = Definiteness.POSITIVE_DEFINITE

@@ -56,3 +56,16 @@ def test_rational_matrix_toolkit_is_not_exported():
     )
     for name in gone:
         assert not hasattr(exactlin, name), name
+
+
+def test_duplicate_and_test_only_helpers_are_gone():
+    # symmetric_elimination returns the pivot frame itself; inner_product and
+    # reflect duplicated Root.dot and the closure's reflection; the signed
+    # graph and the obtuseness test of a root set live in tests/ratref.py
+    exactlin = importlib.import_module("laced.exactlin")
+    assert not hasattr(exactlin, "pivot_frame")
+    roots = importlib.import_module("laced.roots")
+    for name in ("inner_product", "reflect", "signed_graph_of", "is_obtuse"):
+        assert name not in laced.__all__
+        assert not hasattr(laced, name), name
+        assert not hasattr(roots, name), name

@@ -11,16 +11,16 @@ from laced.exactlin import (
     Definiteness,
     definiteness,
     integer_inverse,
-    pivot_frame,
     symmetric_elimination,
 )
-from laced.spectra import SignedGraph, affine_marks, smith_classify, two_i_minus_adjacency_rows
+from laced.spectra import SignedGraph, affine_marks, shifted_gram_rows, smith_classify, two_i_minus_adjacency_rows
 from ratref import (
     RatMatrix,
     kernel_basis,
     primitive_integer_vector,
     rank,
     rational_definiteness,
+    right_looking_elimination,
     short_vectors,
     solve,
 )
@@ -464,16 +464,15 @@ def test_kernel_vector_of_affine_exchange_grams(monkeypatch):
 def test_pivot_frame_matches_rational_solves():
     """Pivots taken greedily (an index is a pivot when it raises the rank of
     the minor on the pivots before it), and each index's coefficients over
-    them from a Fraction solve of G_PP c = G_Pj, against pivot_frame on the
-    rows that symmetric_elimination leaves.  Random Gram matrices with zero
-    vectors and dependent ones mixed in, so some need D > 1."""
+    them from a Fraction solve of G_PP c = G_Pj, against the frame that
+    symmetric_elimination returns.  Random Gram matrices with zero vectors
+    and dependent ones mixed in, so some need D > 1."""
     rng = random.Random(1976)
     dens = set()
     for _ in range(150):
         rows = random_gram(rng, rng.randint(1, 7))
-        kind, upper = symmetric_elimination(rows)
+        kind, (pivots, den, coeffs) = symmetric_elimination(rows)
         assert kind is definiteness(rows) is not INDEF
-        pivots, den, coeffs = pivot_frame(upper)
         want = []
         for j in range(len(rows)):
             trial = want + [j]
@@ -492,3 +491,66 @@ def test_pivot_frame_matches_rational_solves():
         assert coeffs == tuple(tuple(int(x * den) for x in c) for c in exact)
         dens.add(den)
     assert 1 in dens and max(dens) > 1
+
+
+def test_left_looking_frame_matches_right_looking():
+    """The trichotomy, the pivots P, the denominator D and every coefficient
+    equal those read off the upper factor of the right-looking elimination:
+    on random symmetric matrices, Gram matrices with zero and dependent
+    vectors, and signed adjacencies with diagonal entries 0 to 3, and on
+    A + 2I of the line graphs L(K5), L(K6) and L(K7), singular forms of
+    rank 5 to 7 on 10 to 21 generators."""
+    rng = random.Random(1968)
+    seen = {PD: 0, PSD: 0, INDEF: 0}
+    for case in range(3000):
+        n = rng.randint(1, 9)
+        kind = case % 3
+        if kind == 0:
+            rows = random_symmetric(rng, n, *rng.choice([(-1, 1), (-3, 3), (0, 2)]))
+        elif kind == 1:
+            rows = random_gram(rng, n)
+        else:
+            rows = random_symmetric(rng, n, -1, 1)
+            for i in range(n):
+                rows[i][i] = rng.randint(0, 3)
+        want = right_looking_elimination(rows)[:2]
+        assert symmetric_elimination(rows) == want, rows
+        seen[want[0]] += 1
+    assert min(seen.values()) >= 300, seen
+    for k in (5, 6, 7):
+        rows = shifted_gram_rows(SignedGraph.unsigned(k * (k - 1) // 2, line_graph_pairs(k)), 2)
+        kind, frame = symmetric_elimination(rows)
+        assert (kind, len(frame[0])) == (PSD, k)
+        assert (kind, frame) == right_looking_elimination(rows)[:2]
+
+
+def line_graph_pairs(k):
+    edges = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    return [(i, j) for i in range(len(edges)) for j in range(i + 1, len(edges)) if set(edges[i]) & set(edges[j])]
+
+
+def test_indefinite_only_through_a_null_vector():
+    """Forms with no negative pivot whose indefiniteness shows only in
+    M x_j != 0 for a dependent index j: x_j^T M x_j = 0 there, but x_j is
+    not in the kernel."""
+    cases = [
+        [[0, 1], [1, 0]],
+        [[1, 1, 1], [1, 1, 0], [1, 0, 1]],
+        # index 1 is dependent on index 0; only the last row breaks M x_1 = 0
+        [[1, 1, 0, 0], [1, 1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 5]],
+        # a zero row and column except for the last entry of row 0
+        [[0, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 0], [1, 0, 0, 2]],
+    ]
+    for rows in cases:
+        assert rational_definiteness(RatMatrix(rows)) is INDEF
+        assert right_looking_elimination(rows)[0] is INDEF
+        assert symmetric_elimination(rows) == (INDEF, None), rows
+        # the minors on the greedy pivots are all positive definite, so only
+        # the null-vector check can decide
+        pivots = []
+        for j in range(len(rows)):
+            trial = pivots + [j]
+            if rank(RatMatrix([[rows[a][b] for b in trial] for a in trial])) == len(trial):
+                pivots = trial
+        if pivots:
+            assert rational_definiteness(RatMatrix([[rows[a][b] for b in pivots] for a in pivots])) is PD

@@ -2,7 +2,8 @@
 
 The determinism tests compare runs of the same code with each other; these
 compare against fixed bytes, so a refactor that changes any output byte
-fails here.  Inputs and expected outputs live in tests/golden/: a reducible
+fails here.  Inputs and expected outputs live in tests/golden/, and
+tests/golden/cases.txt lists the command lines run on them: a reducible
 A2+D4+E6 under a signed permutation of all 15 coordinates (given as its full
 root list and as a base), the README triangle, L(K6) relabelled and
 switched, and two graphs whose pivot generators span a sublattice of index 2
@@ -15,41 +16,40 @@ from pathlib import Path
 import pytest
 
 from laced.cli import main, parse_graph_file
-from laced.exactlin import pivot_frame, symmetric_elimination
+from laced.exactlin import symmetric_elimination
 from laced.spectra import shifted_gram_rows
+from ratref import right_looking_elimination
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-CASES = [
-    ("a2_d4_e6_roots.vec", ["classify", "--isometry", "--diagram"], "a2_d4_e6_roots.classify.txt"),
-    ("a2_d4_e6_roots.vec", ["classify", "--isometry", "--diagram", "--json"], "a2_d4_e6_roots.classify.json"),
-    ("a2_d4_e6_base.vec", ["classify", "--isometry", "--diagram"], "a2_d4_e6_base.classify.txt"),
-    ("a2_d4_e6_base.vec", ["classify", "--isometry", "--diagram", "--json"], "a2_d4_e6_base.classify.json"),
-    ("triangle.sg", ["embed"], "triangle.embed.txt"),
-    ("triangle.sg", ["embed", "--json"], "triangle.embed.json"),
-    ("lk6.sg", ["embed"], "lk6.embed.txt"),
-    ("lk6.sg", ["embed", "--json"], "lk6.embed.json"),
-    ("star_centre_last.sg", ["embed"], "star_centre_last.embed.txt"),
-    ("star_centre_last.sg", ["embed", "--json"], "star_centre_last.embed.json"),
-    ("lk7_index2.sg", ["embed"], "lk7_index2.embed.txt"),
-    ("lk7_index2.sg", ["embed", "--json"], "lk7_index2.embed.json"),
-]
+# one case per line of cases.txt: the expected file, then the laced command
+# line, whose file arguments are relative to tests/golden; the CI workflow
+# runs the console script on the same list
+CASES = [line.split() for line in (GOLDEN / "cases.txt").read_text(encoding="utf-8").splitlines()]
 
 
-@pytest.mark.parametrize("source,argv,expected", CASES, ids=[c[2] for c in CASES])
-def test_cli_stdout_matches_golden_bytes(capsys, source, argv, expected):
-    command, *flags = argv
-    assert main([command, str(GOLDEN / source), *flags]) == 0
+@pytest.mark.parametrize("expected,argv", [(c[0], c[1:]) for c in CASES], ids=[c[0] for c in CASES])
+def test_cli_stdout_matches_golden_bytes(capsys, monkeypatch, expected, argv):
+    monkeypatch.chdir(GOLDEN)
+    assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / expected).read_text(encoding="utf-8")
 
 
+def test_every_golden_file_has_a_case():
+    named = {word for case in CASES for word in case}
+    assert {p.name for p in GOLDEN.iterdir()} - named == {"cases.txt"}
+
+
 @pytest.mark.parametrize("source", ["star_centre_last.sg", "lk7_index2.sg"])
 def test_index_two_inputs_have_pivot_denominator_2(source):
     g = parse_graph_file((GOLDEN / source).read_text(encoding="utf-8"))
-    _, upper = symmetric_elimination(shifted_gram_rows(g, 2))
-    pivots, den, _ = pivot_frame(upper)
+    rows = shifted_gram_rows(g, 2)
+    _, (pivots, den, _) = symmetric_elimination(rows)
     assert den == 2
-    # the pivot minor has determinant index^2 * det(D_m) = 4 * 4
+    # the pivot minor has determinant index^2 * det(D_m) = 4 * 4, the last
+    # pivot of the right-looking elimination's upper factor
+    _, frame, upper = right_looking_elimination(rows)
+    assert frame[:2] == (pivots, den)
     assert upper[pivots[-1]][pivots[-1]] == 16

@@ -37,19 +37,24 @@ from laced.roots import (
     find_base,
     gen,
     graph_of,
-    inner_product,
-    is_obtuse,
     is_root_system,
     isometry_to_canonical,
     lattice_root,
     parse_type,
-    reflect,
-    signed_graph_of,
     signed_permute,
 )
 from laced.spectra import SignedGraph, is_connected, shifted_gram_rows, smith_classify, two_i_minus_adjacency_rows
 import ratref
-from ratref import RatMatrix, isometry_matrix, kernel_basis, primitive_integer_vector, rank, short_vectors
+from ratref import (
+    RatMatrix,
+    is_obtuse,
+    isometry_matrix,
+    kernel_basis,
+    primitive_integer_vector,
+    rank,
+    short_vectors,
+    signed_graph_of,
+)
 
 # Fixed simple system for E8: a path a1-a3-a4-...-a8 with a2 attached at a4,
 # verified below by closure against the canonical 240.
@@ -89,22 +94,27 @@ def test_inner_product_examples():
     space = AmbientSpace(3)
     r12 = ambient_root(space, [1, -1, 0])
     r23 = ambient_root(space, [0, 1, -1])
-    assert inner_product(r12, r12) == 2
-    assert inner_product(r12, r23) == -1
+    assert r12.dot(r12) == 2
+    assert r12.dot(r23) == -1
     e8 = AmbientSpace(8)
     a = ambient_root(e8, [0, 0, 0, 0, 0, 0, 1, 1])
     b = ambient_root(e8, [Q(-1, 2)] * 6 + [Q(1, 2), Q(1, 2)])
-    assert inner_product(a, b) == 1
+    assert a.dot(b) == 1
 
 
 def test_inner_product_rejects_mixed_spaces():
     x = ambient_root(AmbientSpace(2), [1, -1])
     y = ambient_root(AmbientSpace(3), [1, -1, 0])
     with pytest.raises(ValueError):
-        inner_product(x, y)
+        x.dot(y)
     form = FormSpace([[2]])
     with pytest.raises(ValueError):
-        inner_product(x, lattice_root(form, [1]))
+        x.dot(lattice_root(form, [1]))
+
+
+def reflect(x, y):
+    """x - <x,y> y, for roots whose inner product is an integer."""
+    return _reflect(x, y, _idot(x, y))
 
 
 def test_reflect_examples():
@@ -114,7 +124,7 @@ def test_reflect_examples():
     y = ambient_root(space, [0, 1, -1])
     assert reflect(x, y) == ambient_root(space, [1, 0, -1])
     orth = ambient_root(space, [1, 1, 0])
-    assert inner_product(x, orth) == 0
+    assert x.dot(orth) == 0
     assert reflect(x, orth) == x
 
 
@@ -123,8 +133,12 @@ def test_reflect_rejects_non_integer_inner_product():
     a = ambient_root(space, [Q(4, 3), Q(1, 3), Q(1, 3)])
     b = ambient_root(space, [1, 1, 0])
     assert a.norm2() == 2 and b.norm2() == 2
-    with pytest.raises(ValueError):
-        reflect(a, b)
+    # a root set, the only way into closure and so into reflection, refuses
+    # the pair; the trusted path's inner product raises on it
+    with pytest.raises(ValueError, match="non-integer inner product 5/3"):
+        RootSet.of(space, [a, b])
+    with pytest.raises(InvariantError, match="non-integer inner product"):
+        _idot(a, b)
 
 
 # --- root set construction ------------------------------------------------
@@ -162,6 +176,26 @@ def test_form_space_validation():
     assert fs.n == 2
     with pytest.raises(ValueError):
         lattice_root(fs, [1])  # wrong length
+
+
+def test_form_space_rejects_non_integer_entries():
+    # int() would read the first as the orthogonal A1+A1 form, and the
+    # second as the A2 form
+    with pytest.raises(ValueError, match="FormSpace requires an integer matrix"):
+        FormSpace([[2, Q(1, 2)], [Q(1, 2), 2]])
+    with pytest.raises(ValueError, match="FormSpace requires an integer matrix"):
+        FormSpace([[2, -1.7], [-1.7, 2]])
+    assert FormSpace([[Q(2), -1.0], [-1, 2]]) == FormSpace([[2, -1], [-1, 2]])
+
+
+def test_lattice_root_rejects_non_integer_coefficients():
+    fs = FormSpace([[2, 0], [0, 2]])
+    # int() would read these as the root with coefficients (1, 0)
+    with pytest.raises(ValueError, match="lattice_root requires an integer coefficient vector"):
+        lattice_root(fs, [1, 0.9])
+    with pytest.raises(ValueError, match="lattice_root requires an integer coefficient vector"):
+        lattice_root(fs, [1, Q(1, 3)])
+    assert lattice_root(fs, [Q(1), 0.0]) == lattice_root(fs, [1, 0])
 
 
 # --- is_root_system -------------------------------------------------------
@@ -232,7 +266,7 @@ def test_inner_product_trichotomy_on_generated_systems():
         roots = list(gen(label))
         for i, x in enumerate(roots):
             for y in roots[i + 1 :]:
-                t = inner_product(x, y)
+                t = x.dot(y)
                 if y == -x:
                     assert t == -2
                 else:
@@ -598,7 +632,7 @@ def assert_base_growth_reads_the_lattice(monkeypatch, comp):
         base = _component_base(comp)
     assert len(shapes) == len(grown)
     for (u, out), st in zip(grown, shapes):
-        gram = RatMatrix([[inner_product(a, b) for b in u] for a in u])
+        gram = RatMatrix([[a.dot(b) for b in u] for a in u])
         assert (st.kind == "finite") == (rank(gram) == len(u))
         if st.kind == "finite":
             assert out == u
@@ -643,12 +677,12 @@ def test_base_growth_step_rejects_a_set_without_a_dynkin_shape():
     # smith_classify raises for a disconnected graph
     space = AmbientSpace(3)
     a, b = ambient_root(space, (1, -1, 0)), ambient_root(space, (1, 0, -1))
-    assert inner_product(a, b) == 1
+    assert a.dot(b) == 1
     with pytest.raises(InvariantError, match="not obtuse"):
         laced.roots._grown([a, b])
     space = AmbientSpace(4)
     x, y = ambient_root(space, (1, -1, 0, 0)), ambient_root(space, (0, 0, 1, -1))
-    assert inner_product(x, y) == 0
+    assert x.dot(y) == 0
     with pytest.raises(InvariantError, match="not connected"):
         laced.roots._grown([x, y])
 
@@ -666,7 +700,7 @@ def test_find_base_a2():
     base = find_base(gen("A2"))
     assert len(base) == 2
     x, y = base
-    assert inner_product(x, y) == -1
+    assert x.dot(y) == -1
     assert closure(base) == gen("A2")
 
 
@@ -760,7 +794,7 @@ def test_isometry_from_intrinsic_form():
     assert t == DynkinType("A", 2)
     imgs = [iso.apply(r) for r in seed]
     assert all(img in gen("A2") for img in imgs)
-    assert inner_product(imgs[0], imgs[1]) == -1
+    assert imgs[0].dot(imgs[1]) == -1
     assert {iso.apply(r) for r in phi} == set(gen("A2"))
 
 
@@ -776,7 +810,7 @@ def test_isometry_preserves_gram_and_fixes_span():
     roots = list(scr)
     for x in roots[:6]:
         for y in roots[:6]:
-            assert inner_product(iso.apply(x), iso.apply(y)) == inner_product(x, y)
+            assert iso.apply(x).dot(iso.apply(y)) == x.dot(y)
     m = RatMatrix(iso.matrix)
     qtq = m.transpose().mul(m)
     for x in roots:
@@ -871,7 +905,7 @@ def test_short_vectors_e8_oracle():
     # exactly the 240 canonical roots
     space = AmbientSpace(8)
     simple = [ambient_root(space, v) for v in E8_SIMPLE]
-    gram = [[int(inner_product(a, b)) for b in simple] for a in simple]
+    gram = [[int(a.dot(b)) for b in simple] for a in simple]
     coeff_vectors = short_vectors(gram, 2)
     assert len(coeff_vectors) == 240
     mapped = set()
@@ -893,7 +927,7 @@ def test_intrinsic_route_agrees_with_ambient_route():
     for _ in range(25):
         k = rng.randint(2, 9)
         picks = rng.sample(e8, k)
-        gram = [[int(inner_product(a, b)) for b in picks] for a in picks]
+        gram = [[int(a.dot(b)) for b in picks] for a in picks]
         fs = FormSpace(gram)
         units = [lattice_root(fs, [1 if j == i else 0 for j in range(k)]) for i in range(k)]
         phi_intrinsic = closure(RootSet.of(fs, units, validate=False))
