@@ -1,11 +1,11 @@
 """Exact linear algebra on integer matrices.
 
-Two fraction-free eliminations in Bareiss form on arbitrary-precision
+One fraction-free elimination in Bareiss form on arbitrary-precision
 integers, where each division by the previous pivot is exact, so no rational
-is ever built.  symmetric_elimination, left-looking, is the one that decides
-definiteness: in one call it gives the trichotomy of a symmetric matrix and,
-for a positive semidefinite Gram form, its pivot frame, the pivots and every
-index's coefficients over them.  integer_inverse gives the inverse.
+is ever built.  symmetric_elimination, left-looking, gives in one call the
+trichotomy of a symmetric matrix and, for a positive semidefinite Gram form,
+its pivot frame, the pivots and every index's coefficients over them; kernel
+vectors and dual bases are read off its frames.
 Floating point never appears here; tests cross-check the trichotomy and the
 frame against a floating eigensolver, a rational eliminator and the
 right-looking elimination, but the trusted path is exact.
@@ -83,6 +83,12 @@ def symmetric_elimination(rows: Sequence[Sequence[int]]) -> tuple[Definiteness, 
     # a list equal to its transpose is square and symmetric
     if not a or list(map(list, zip(*a))) != a:
         raise ValueError("definiteness requires a symmetric matrix")
+    return _eliminate(a)
+
+
+def _eliminate(a: Sequence[Sequence[int]]) -> tuple[Definiteness, Optional[Frame]]:
+    """symmetric_elimination of rows already checked to be a nonempty,
+    square and symmetric matrix of ints."""
     n = len(a)
     pivots: list[int] = []
     dets = [1]  # dets[s]: the determinant of the minor on the first s pivots
@@ -158,46 +164,3 @@ def symmetric_elimination(rows: Sequence[Sequence[int]]) -> tuple[Definiteness, 
             b += 1
     kind = Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR if solved else Definiteness.POSITIVE_DEFINITE
     return kind, (tuple(pivots), den, tuple(coeffs))
-
-
-def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Inverse of an integer matrix as (numerator grid, positive denominator).
-
-    Fraction-free Gauss-Jordan elimination in Bareiss form: every row other
-    than the pivot row is updated as (p * row - f * pivot_row) / prev, where
-    the division by the previous pivot is exact.  At the end the left block is
-    d * I and the right block d * inverse, with d = +-det; the result is
-    reduced by the gcd of d and every entry.  Raises ValueError on a
-    non-integer entry or when the matrix is singular.
-    """
-    a = _integer_rows(rows, "integer_inverse")
-    n = len(a)
-    aug = [row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(a)]
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        prow = aug[c]
-        p = prow[c]
-        for i in range(n):
-            if i == c:
-                continue
-            row = aug[i]
-            f = row[c]
-            for j in range(c + 1, 2 * n):
-                row[j] = (p * row[j] - f * prow[j]) // prev
-            row[c] = 0
-        prev = p
-    den = prev
-    num = [row[n:] for row in aug]
-    if den < 0:
-        den = -den
-        num = [[-x for x in row] for row in num]
-    g = den
-    for row in num:
-        for x in row:
-            g = math.gcd(g, x)
-    return [[x // g for x in row] for row in num], den // g
-

@@ -37,7 +37,7 @@ from operator import add, mul, sub
 from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvariantError
-from .exactlin import Definiteness, Frame, _integer_rows, integer_inverse, symmetric_elimination
+from .exactlin import Definiteness, Frame, _eliminate, _integer_rows, symmetric_elimination
 from .spectra import SignedGraph, connected_without, smith_classify, walk_leg
 
 Q = Fraction
@@ -89,7 +89,7 @@ class FormSpace:
             raise ValueError("Gram form must be symmetric")
         if any(grid[i][i] != 2 for i in range(n)):
             raise ValueError("Gram form must have diagonal 2")
-        kind, frame = symmetric_elimination(grid)
+        kind, frame = _eliminate(grid)
         if kind is Definiteness.INDEFINITE:
             raise ValueError("Gram form must be positive semidefinite")
         self._fill(grid, frame)
@@ -385,23 +385,25 @@ class RootSet:
     @classmethod
     def of(cls, space: Space, roots: Iterable[Root], validate: bool = True) -> "RootSet":
         unique: dict = {}
+        first: list[int] = []  # the input position of each distinct root
         for i, r in enumerate(roots):
             if r.space is not space and r.space != space:
                 raise ValueError(f"vector {i} belongs to a different space")
             if validate and not _norm_is_2(r):
                 raise ValueError(f"vector {i} has squared norm {r.norm2()}, expected 2")
-            unique.setdefault(r.key, r)
-        distinct = unique.values()
-        ordered = sorted(distinct, key=_order_key(distinct))
+            if r.key not in unique:
+                unique[r.key] = r
+                first.append(i)
+        distinct = list(unique.values())
         # intrinsic inner products are integers, since the form is integral
         if validate and type(space) is AmbientSpace:
-            pair = _first_nonintegral_pair(ordered)
+            pair = _first_nonintegral_pair(distinct)
             if pair is not None:
                 i, j = pair
                 raise ValueError(
-                    f"vectors {i} and {j} have non-integer inner product {ordered[i].dot(ordered[j])}"
+                    f"vectors {first[i]} and {first[j]} have non-integer inner product {distinct[i].dot(distinct[j])}"
                 )
-        return cls._assembled(space, ordered)
+        return cls._assembled(space, sorted(distinct, key=_order_key(distinct)))
 
     @classmethod
     def _assembled(cls, space: Space, ordered: Sequence[Root], flag: Optional[bool] = None) -> "RootSet":
@@ -561,15 +563,8 @@ def _d_roots(n: int) -> list[Root]:
 
 
 def _e8_roots() -> list[Root]:
-    space = AmbientSpace(8)
-    out = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    nums = [0] * 8
-                    nums[i], nums[j] = si, sj
-                    out.append(_make_ambient_normalized(space, tuple(nums), 1))
+    out = _d_roots(8)
+    space = out[0].space
     for mask in range(256):
         nums = tuple(1 if mask & (1 << k) == 0 else -1 for k in range(8))
         if bin(mask).count("1") % 2 == 0:
@@ -973,15 +968,64 @@ def _canonical_base_order(base: Sequence[Root]) -> list[Root]:
     return [base[i] for i in order]
 
 
-_CANON_ORDERED: dict[DynkinType, list[Root]] = {}
+class _Target(NamedTuple):
+    """What an isometry onto gen(t) needs of the model, built once per type:
+    its base Y in canonical order, the Gram matrix G of Y, and Y G^-1 as the
+    integer rows ``dual`` over the positive denominator ``den``, one row per
+    ambient coordinate and one column per base root."""
+
+    base: list[Root]
+    gram: list[list[int]]
+    dual: tuple[tuple[int, ...], ...]
+    den: int
 
 
-def _canonical_ordered_base(t: DynkinType) -> list[Root]:
-    cached = _CANON_ORDERED.get(t)
+_TARGETS: dict[DynkinType, _Target] = {}
+
+
+def _target(t: DynkinType) -> _Target:
+    cached = _TARGETS.get(t)
     if cached is None:
-        cached = _canonical_base_order(_component_base(gen(t)))
-        _CANON_ORDERED[t] = cached
+        y = _canonical_base_order(_component_base(gen(t)))
+        gram = [[_idot(a, b) for b in y] for a in y]
+        cached = _TARGETS[t] = _Target(y, gram, *_dual_rows(y))
     return cached
+
+
+def _dual_rows(y: Sequence[Root]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Y G^-1 for independent ambient roots Y, as integer rows over one
+    positive denominator, read off two pivot frames.
+
+    Row k of Y G^-1 holds the coefficients over Y of the projection of the
+    unit vector e_k onto span(Y), since they solve G c = Y^T e_k.  The frame
+    of Y Y^T gives, for each dependent coordinate j, the kernel vector
+    x_j = D e_j - sum_p c_jp e_p, and the x_j span the orthogonal complement
+    of span(Y), which is empty for D_n and E8.  So in the frame of the Gram
+    matrix of (Y, the x_j, e_1..e_m) the first m indices are the pivots, and
+    each e_k is dependent, with coefficients over the x_j that are
+    orthogonal to Y and over Y that are row k of Y G^-1.
+    """
+    d = math.lcm(*(r.den for r in y))
+    cols = [[v * (d // r.den) for v in r.nums] for r in y]  # d * Y, by columns
+    rows = list(zip(*cols))
+    m = len(rows)
+    _, (pivots, den, coeffs) = symmetric_elimination([[sum(map(mul, a, b)) for b in rows] for a in rows])
+    kernel = []
+    for j in range(m):
+        if j not in pivots:
+            x = [0] * m
+            for p, v in zip(pivots, coeffs[j]):
+                x[p] = -v
+            x[j] = den
+            kernel.append(x)
+    vectors = cols + kernel + [[int(i == k) for i in range(m)] for k in range(m)]
+    _, (pivots, den, coeffs) = symmetric_elimination([[sum(map(mul, a, b)) for b in vectors] for a in vectors])
+    if pivots != tuple(range(m)):
+        raise InvariantError("canonical base and its orthogonal complement do not span the ambient space")
+    # e_k's coefficient over d * y_a is coeffs[m + k][a] / den
+    dual = [[d * v for v in coeffs[m + k][: len(y)]] for k in range(m)]
+    g = math.gcd(den, *(v for row in dual for v in row))
+    return tuple(tuple(v // g for v in row) for row in dual), den // g
 
 
 def isometry_to_canonical(omega: RootSet) -> tuple[DynkinType, Isometry]:
@@ -998,35 +1042,22 @@ def _isometry(omega: RootSet, base: Sequence[Root], t: DynkinType) -> Isometry:
     """The map carrying omega onto gen(t) that sends a base of omega, in
     canonical order, to the canonically ordered base of gen(t)."""
     ordered = _canonical_base_order(base)
-    target = _canonical_ordered_base(t)
-    gram = [[_idot(a, b) for b in ordered] for a in ordered]
-    if gram != [[_idot(a, b) for b in target] for a in target]:
+    target = _target(t)
+    if [[_idot(a, b) for b in ordered] for a in ordered] != target.gram:
         raise InvariantError("canonically ordered bases have different Gram matrices")
-    inv_num, inv_den = integer_inverse(gram)
     # The map is Y Ginv B: B takes a vector to its inner products with the
-    # ordered base, Ginv those to base coefficients, and Y, the target base
-    # as columns, the coefficients to the canonical model.  In integers,
-    # B = b_rows / b_den, Ginv = inv_num / inv_den and Y = y_cols / y_den.
-    # <x, b> = sum(x.nums * b.dvec) / (x.den * b.den), and apply divides by
-    # x.den, so B is the base's dvecs over their common denominator
-    domain = omega.space
+    # ordered base, and Y Ginv, cached per type, those to the canonical
+    # model.  <x, b> = sum(x.nums * b.dvec) / (x.den * b.den), and apply
+    # divides by x.den, so B is the base's dvecs over their common denominator
     b_den = math.lcm(*(r.den for r in ordered))
-    b_rows = [[v * (b_den // r.den) for v in r.dvec] for r in ordered]
-    y_den = math.lcm(*(r.den for r in target))
-    y_cols = [[v * (y_den // r.den) for v in r.nums] for r in target]
-    b_cols = list(zip(*b_rows))
-    coeff = [[sum(map(mul, row, col)) for col in b_cols] for row in inv_num]
-    coeff_cols = list(zip(*coeff))
-    rows = [[sum(map(mul, y, col)) for col in coeff_cols] for y in zip(*y_cols)]
-    den = inv_den * b_den * y_den
-    g = den
-    for row in rows:
-        for v in row:
-            g = math.gcd(g, v)
+    b_cols = list(zip(*([v * (b_den // r.den) for v in r.dvec] for r in ordered)))
+    rows = [[sum(map(mul, row, col)) for col in b_cols] for row in target.dual]
+    den = target.den * b_den
+    g = math.gcd(den, *(v for row in rows for v in row))
     iso = Isometry(
         rows=tuple(tuple(v // g for v in row) for row in rows),
         den=den // g,
-        domain=domain,
+        domain=omega.space,
         codomain=AmbientSpace(t.ambient_dim),
     )
     if {iso.apply(r).key for r in omega.roots} != gen(t).keys():

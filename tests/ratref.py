@@ -29,11 +29,11 @@ from laced.roots import (
     Root,
     RootSet,
     _canonical_base_order,
-    _canonical_ordered_base,
     _idot,
     _integral_dot,
     _make_ambient_normalized,
     _norm_is_2,
+    _target,
 )
 from laced.spectra import SignedGraph
 
@@ -355,9 +355,9 @@ def isometry_matrix(omega, base, t) -> tuple[tuple[Fraction, ...], ...]:
     the same base: Y Ginv B for the target base columns Y, the inverse Gram
     matrix of the canonically ordered base and its inner-product rows B.
     Ginv B comes from Fraction solves, so it shares no elimination with the
-    integer inverse that _isometry uses."""
+    pivot frames that give _isometry its cached Y Ginv."""
     ordered = _canonical_base_order(base)
-    target = _canonical_ordered_base(t)
+    target = _target(t).base
     m = len(ordered)
     gram = RatMatrix([[_idot(a, b) for b in ordered] for a in ordered])
     domain = omega.space

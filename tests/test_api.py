@@ -53,6 +53,7 @@ def test_rational_matrix_toolkit_is_not_exported():
         "short_vectors",
         "integer_determinant",
         "primitive_kernel_vector",
+        "integer_inverse",
     )
     for name in gone:
         assert not hasattr(exactlin, name), name

@@ -14,7 +14,7 @@ import laced.roots
 from laced.cli import root_set_from_text
 from laced.embed import embed
 from laced.errors import InvariantError
-from laced.exactlin import Definiteness, definiteness, integer_inverse
+from laced.exactlin import Definiteness, definiteness
 from laced.roots import (
     AmbientSpace,
     DynkinType,
@@ -23,12 +23,14 @@ from laced.roots import (
     Root,
     RootSet,
     _component_base,
+    _dual_rows,
     _idot,
     _integral_dot,
     _make_ambient,
     _norm_is_2,
     _order_key,
     _reflect,
+    _target,
     _unit_roots,
     ambient_root,
     classify,
@@ -54,6 +56,7 @@ from ratref import (
     rank,
     short_vectors,
     signed_graph_of,
+    solve,
 )
 
 # Fixed simple system for E8: a path a1-a3-a4-...-a8 with a2 attached at a4,
@@ -158,6 +161,19 @@ def test_root_set_validation():
         RootSet.of(space3, [a, b])  # non-integer pairwise inner product
 
 
+def test_root_set_names_a_non_integral_pair_by_input_position():
+    # only x meets y non-integrally; the pair is named by where its two
+    # vectors stand in the input, whatever order the set sorts them in
+    space = AmbientSpace(3)
+    x = ambient_root(space, [Q(4, 3), Q(1, 3), Q(1, 3)])
+    y = ambient_root(space, [1, 1, 0])
+    z = ambient_root(space, [-1, 0, 1])
+    assert x.dot(z) == -1 and y.dot(z) == -1
+    for vectors, i, j in (([x, y, z], 0, 1), ([y, z, x], 0, 2), ([z, y, x], 1, 2), ([z, x, z, y], 1, 3)):
+        with pytest.raises(ValueError, match=f"^vectors {i} and {j} have non-integer inner product 5/3$"):
+            RootSet.of(space, vectors)
+
+
 def test_root_set_dedupes():
     space = AmbientSpace(2)
     r = ambient_root(space, [1, -1])
@@ -176,6 +192,20 @@ def test_form_space_validation():
     assert fs.n == 2
     with pytest.raises(ValueError):
         lattice_root(fs, [1])  # wrong length
+
+
+def test_form_space_messages():
+    for gram, message in (
+        ([[2, Q(1, 2)], [Q(1, 2), 2]], "FormSpace requires an integer matrix"),
+        ([], "Gram form must be square"),
+        ([[2, -1], [-1]], "Gram form must be square"),
+        ([[2, -1, 0], [-1, 2, 0]], "Gram form must be square"),
+        ([[2, 1], [0, 2]], "Gram form must be symmetric"),
+        ([[2, -1], [-1, 1]], "Gram form must have diagonal 2"),
+        ([[2, 3], [3, 2]], "Gram form must be positive semidefinite"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FormSpace(gram)
 
 
 def test_form_space_rejects_non_integer_entries():
@@ -399,8 +429,13 @@ def closure_all_pairs(s):
 
 def lattice_members(s: list[Root], roots: list[Root]) -> set:
     """Keys of the roots lying in the integer lattice spanned by S."""
-    gram = [[_idot(a, b) for b in s] for a in s]
-    inv_num, inv_den = integer_inverse(gram)
+    n = len(s)
+    gram = RatMatrix([[_idot(a, b) for b in s] for a in s])
+    # the columns of Gram(S)^-1, which is symmetric, so also its rows, as
+    # integers over their common denominator
+    inverse = [solve(gram, [int(i == j) for i in range(n)]) for j in range(n)]
+    inv_den = math.lcm(*(c.denominator for row in inverse for c in row))
+    inv_num = [[int(c * inv_den) for c in row] for row in inverse]
     members = set()
     for r in roots:
         b = [_idot(x, r) for x in s]
@@ -972,6 +1007,28 @@ def test_isometry_matrix_matches_the_fraction_formula():
         t, iso = isometry_to_canonical(omega)
         assert iso.matrix == isometry_matrix(ref, _component_base(ref), t), t
         assert iso.den > 0 and math.gcd(iso.den, *(v for row in iso.rows for v in row)) == 1
+
+
+def test_isometry_target_rows_solve_the_gram_matrix():
+    # Y Ginv, read off two pivot frames once per type, against Fraction
+    # solves of G c = (row k of Y): row k is the projection of e_k onto the
+    # span of the canonically ordered base Y, over Y
+    labels = [f"A{n}" for n in range(1, 41)] + [f"D{n}" for n in range(4, 41)] + ["E6", "E7", "E8"]
+    for label in labels:
+        target = _target(parse_type(label))
+        gram = RatMatrix(target.gram)
+        want = [solve(gram, row) for row in zip(*(r.coords for r in target.base))]
+        assert [tuple(Q(v, target.den) for v in row) for row in target.dual] == want, label
+        assert target.den > 0 and math.gcd(target.den, *(v for row in target.dual for v in row)) == 1
+
+
+def test_dual_rows_reject_a_dependent_base():
+    # a repeated base root is no pivot of the second frame
+    space = AmbientSpace(3)
+    a = ambient_root(space, [1, -1, 0])
+    assert _dual_rows([a])[1] == 2
+    with pytest.raises(InvariantError, match="do not span the ambient space"):
+        _dual_rows([a, a])
 
 
 def norm_2_vectors(rng, space, den, count):
