@@ -5,7 +5,9 @@ integers, where each division by the previous pivot is exact, so no rational
 is ever built.  symmetric_elimination, left-looking, gives in one call the
 trichotomy of a symmetric matrix and, for a positive semidefinite Gram form,
 its pivot frame, the pivots and every index's coefficients over them; kernel
-vectors and dual bases are read off its frames.
+vectors and dual bases are read off its frames.  lattice_gram_divisible
+decides whether m divides every inner product of the rows of an integer
+matrix, on an echelon basis of the lattice they span, kept mod m.
 Floating point never appears here; tests cross-check the trichotomy and the
 frame against a floating eigensolver, a rational eliminator and the
 right-looking elimination, but the trusted path is exact.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantError
 
@@ -164,3 +166,38 @@ def _eliminate(a: Sequence[Sequence[int]]) -> tuple[Definiteness, Optional[Frame
             b += 1
     kind = Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR if solved else Definiteness.POSITIVE_DEFINITE
     return kind, (tuple(pivots), den, tuple(coeffs))
+
+
+def lattice_gram_divisible(rows: Iterable[Sequence[int]], m: int) -> bool:
+    """Whether m divides the inner product of every two integer rows, a row
+    with itself included, decided on a basis of the lattice they span.
+
+    By bilinearity that holds for every pair iff it holds on the Gram matrix
+    of a Z-basis of the lattice the rows span together with m Z^dim, whose
+    vectors meet every integer vector in a multiple of m; so entries are kept
+    mod m, and only the basis rows beyond m Z^dim are checked.  Each row is
+    reduced into rows in echelon form, one per pivot column, by Euclid's
+    algorithm on the pivot entries, a unimodular step that keeps the lattice.
+    That costs O(n dim^2) for n rows of length dim, and the Gram matrix of at
+    most dim rows O(dim^3), against O(n^2 dim) for all the pairs.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column c -> the row whose first nonzero entry is at c
+    for row in rows:
+        v = [a % m for a in row]
+        for c in range(len(v)):
+            vc = v[c]
+            if not vc:
+                continue
+            b = basis.get(c)
+            if b is None:
+                basis[c] = v
+                break
+            while vc:
+                q = vc // b[c]
+                v = [(x - q * y) % m for x, y in zip(v, b)]
+                if v[c]:
+                    b, v = v, b
+                vc = v[c]
+            basis[c] = b
+    found = list(basis.values())
+    return all(sum(map(mul, a, b)) % m == 0 for i, a in enumerate(found) for b in found[i:])

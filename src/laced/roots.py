@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvariantError
-from .exactlin import Definiteness, Frame, _eliminate, _integer_rows, symmetric_elimination
+from .exactlin import Definiteness, Frame, _eliminate, _integer_rows, lattice_gram_divisible, symmetric_elimination
 from .spectra import SignedGraph, connected_without, smith_classify, walk_leg
 
 Q = Fraction
@@ -191,10 +190,10 @@ class Root:
         return tuple(Q(v, d) for v in self.nums)
 
     def __neg__(self) -> "Root":
-        if self.is_ambient:
-            nums = tuple(-v for v in self.nums)
+        nums = tuple(map(neg, self.nums))
+        if type(self.space) is AmbientSpace:
             return _make_ambient_normalized(self.space, nums, self.den)
-        return _make_lattice_raw(self.space, tuple(-v for v in self.nums), tuple(-v for v in self.dvec))
+        return _make_lattice_raw(self.space, nums, tuple(map(neg, self.dvec)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Root):
@@ -236,21 +235,15 @@ def _make_ambient_normalized(space: AmbientSpace, nums: tuple[int, ...], den: in
     return r
 
 
-def _make_ambient(space: AmbientSpace, nums: Sequence[int], den: int) -> Root:
-    nums = tuple(nums)
-    if den < 0:
-        den = -den
-        nums = tuple(-v for v in nums)
-    if den != 1:
-        g = den
-        for v in nums:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            nums = tuple(v // g for v in nums)
-    return _make_ambient_normalized(space, nums, den)
+def _lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """The key (nums, den) of the vector nums / den, den >= 1: the same
+    vector with no factor common to den and every numerator."""
+    if den == 1:
+        return nums, 1
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple(v // g for v in nums), den // g
 
 
 def _make_lattice_raw(space: FormSpace, nums: tuple[int, ...], dvec: tuple[int, ...]) -> Root:
@@ -334,15 +327,15 @@ def _integral_dot(x: Root, y: Root) -> bool:
 
 def _first_nonintegral_pair(roots: Sequence[Root]) -> Optional[tuple[int, int]]:
     """The first (i, j), i < j, in row order whose inner product is not an
-    integer, or None.  Pairs of two denominator-1 roots are skipped, since
-    their inner product is always an integer."""
-    frac = [i for i, r in enumerate(roots) if r.den != 1]
-    if not frac:
+    integer, or None.  Whether there is one is decided on a lattice basis:
+    scaled by the lcm L of the denominators the roots are integer vectors,
+    and <x, y> is an integer iff L^2 divides <L x, L y>.  Only when there is
+    one are the pairs scanned in order."""
+    lcm = math.lcm(*{r.den for r in roots})
+    if lcm == 1 or lattice_gram_divisible(([a * (lcm // r.den) for a in r.nums] for r in roots), lcm * lcm):
         return None
-    n = len(roots)
     for i, x in enumerate(roots):
-        partners = range(i + 1, n) if x.den != 1 else frac[bisect_right(frac, i) :]
-        for j in partners:
+        for j in range(i + 1, len(roots)):
             if not _integral_dot(x, roots[j]):
                 return i, j
     return None
@@ -354,19 +347,24 @@ def _norm_is_2(r: Root) -> bool:
     return sum(map(mul, r.nums, r.dvec)) == 2 * r.den * r.den
 
 
+def _ambient_difference(x: Root, y: Root, t: int) -> tuple[tuple[int, ...], int]:
+    """The key (nums, den) of x - t*y, for ambient roots and an integer t."""
+    dx, dy = x.den, y.den
+    if dx == dy and (t == 1 or t == -1):
+        return _lowest_terms(tuple(map(sub if t == 1 else add, x.nums, y.nums)), dx)
+    lcm = dx * dy // math.gcd(dx, dy)
+    fx = lcm // dx
+    fy = t * (lcm // dy)
+    return _lowest_terms(tuple(a * fx - b * fy for a, b in zip(x.nums, y.nums)), lcm)
+
+
 def _reflect(x: Root, y: Root, t: int) -> Root:
     # x - t*y for integer t
     if type(x.space) is FormSpace:
         nums = tuple(a - t * b for a, b in zip(x.nums, y.nums))
         dvec = tuple(a - t * b for a, b in zip(x.dvec, y.dvec))
         return _make_lattice_raw(x.space, nums, dvec)
-    dx, dy = x.den, y.den
-    if dx == dy:
-        return _make_ambient(x.space, tuple(a - t * b for a, b in zip(x.nums, y.nums)), dx)
-    lcm = dx * dy // math.gcd(dx, dy)
-    fx = lcm // dx
-    fy = t * (lcm // dy)
-    return _make_ambient(x.space, tuple(a * fx - b * fy for a, b in zip(x.nums, y.nums)), lcm)
+    return _make_ambient_normalized(x.space, *_ambient_difference(x, y, t))
 
 
 class RootSet:
@@ -596,7 +594,7 @@ def components(s: RootSet) -> list[RootSet]:
         unvisited.discard(seed)
         stack = [seed]
         part = [seed]
-        while stack:
+        while stack and unvisited:
             u = stack.pop()
             hit = [v for v in unvisited if _idot(roots[u], roots[v]) != 0]
             for v in hit:
@@ -640,7 +638,8 @@ class _Orbit:
     the orbit is skipped, since its reflection lies in the group of the
     others.  That costs at most |Phi|·|S| inner products, each a sum over the
     seed root's nonzero coefficients.  ``known`` maps the key of every root
-    found to the root.
+    found to the root.  A reflection is looked up by its key first, so that
+    only a new root, and its negation, is ever built.
     """
 
     __slots__ = ("known", "queue", "gens", "intrinsic")
@@ -652,12 +651,11 @@ class _Orbit:
         self.intrinsic = type(space) is FormSpace
 
     def _add2(self, r: Root) -> None:
-        known = self.known
-        if r.key not in known:
-            known[r.key] = r
-            self.queue.append(r)
-            m = -r
-            known[m.key] = m
+        # r is new, and so is -r: known is closed under negation
+        self.known[r.key] = r
+        self.queue.append(r)
+        m = -r
+        self.known[m.key] = m
 
     def add(self, g: Root) -> None:
         """Extend the seed by g and grow the orbit until it is closed again."""
@@ -684,9 +682,11 @@ class _Orbit:
                         raise InvariantError("non-integer inner product on the trusted path")
                 if t == 1 or t == -1:
                     if not intrinsic:
-                        add2(_reflect(x, a, t))
+                        key = _ambient_difference(x, a, t)
+                        if key not in known:
+                            add2(_make_ambient_normalized(x.space, *key))
                         continue
-                    # the key of x - t*a is its dvec: look it up before building the root
+                    # the key of x - t*a is its dvec
                     op = sub if t == 1 else add
                     dvec = tuple(map(op, xd, a.dvec))
                     if dvec not in known:
@@ -929,6 +929,10 @@ class Isometry:
     def apply(self, r: Root) -> Root:
         if r.space is not self.domain and r.space != self.domain:
             raise ValueError("root does not belong to the isometry's domain")
+        return _make_ambient_normalized(self.codomain, *self._image_key(r))
+
+    def _image_key(self, r: Root) -> tuple[tuple[int, ...], int]:
+        # the key of the image of r, a root of the domain
         acc = [0] * len(self.rows)
         for c, col in zip(r.nums, self._columns):
             if c == 1:
@@ -937,7 +941,7 @@ class Isometry:
                 acc = list(map(sub, acc, col))
             elif c:
                 acc = [a + c * v for a, v in zip(acc, col)]
-        return _make_ambient(self.codomain, acc, self.den * r.den)
+        return _lowest_terms(tuple(acc), self.den * r.den)
 
 
 def _canonical_base_order(base: Sequence[Root]) -> list[Root]:
@@ -1060,7 +1064,7 @@ def _isometry(omega: RootSet, base: Sequence[Root], t: DynkinType) -> Isometry:
         domain=omega.space,
         codomain=AmbientSpace(t.ambient_dim),
     )
-    if {iso.apply(r).key for r in omega.roots} != gen(t).keys():
+    if {iso._image_key(r) for r in omega.roots} != gen(t).keys():
         raise InvariantError("mapped root system does not equal the canonical model")
     return iso
 

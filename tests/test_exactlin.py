@@ -10,6 +10,7 @@ import pytest
 from laced.exactlin import (
     Definiteness,
     definiteness,
+    lattice_gram_divisible,
     symmetric_elimination,
 )
 from laced.spectra import SignedGraph, affine_marks, shifted_gram_rows, smith_classify, two_i_minus_adjacency_rows
@@ -487,3 +488,26 @@ def test_indefinite_only_through_a_null_vector():
                 pivots = trial
         if pivots:
             assert rational_definiteness(RatMatrix([[rows[a][b] for b in pivots] for a in pivots])) is PD
+
+
+def test_lattice_gram_divisible_matches_all_pairs():
+    # rows scaled by s, with m | s^2, span a lattice whose inner products m
+    # divides, and one added row usually breaks that; entries beyond m
+    # exercise the reduction mod m
+    rng = random.Random(23)
+    outcomes = []
+    for _ in range(600):
+        m = rng.choice([2, 3, 4, 6, 8, 9, 12, 36])
+        s = next(k for k in range(1, m + 1) if k * k % m == 0)
+        dim = rng.randint(1, 6)
+        rows = [[s * rng.randint(-9, 9) for _ in range(dim)] for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.5:
+            rows.insert(rng.randrange(len(rows) + 1), [rng.randint(-9, 9) for _ in range(dim)])
+        want = all(sum(map(mul, a, b)) % m == 0 for a in rows for b in rows)
+        assert lattice_gram_divisible(rows, m) == want, (rows, m)
+        assert lattice_gram_divisible(iter(rows), m) == want
+        outcomes.append(want)
+    assert 0 < sum(outcomes) < len(outcomes)
+    assert not lattice_gram_divisible([[1]], 2)
+    assert lattice_gram_divisible([[2, 0], [0, 2]], 4)
+    assert lattice_gram_divisible([], 4)

@@ -14,7 +14,7 @@ import laced.roots
 from laced.cli import root_set_from_text
 from laced.embed import embed
 from laced.errors import InvariantError
-from laced.exactlin import Definiteness, definiteness
+from laced.exactlin import Definiteness, definiteness, lattice_gram_divisible
 from laced.roots import (
     AmbientSpace,
     DynkinType,
@@ -26,7 +26,8 @@ from laced.roots import (
     _dual_rows,
     _idot,
     _integral_dot,
-    _make_ambient,
+    _lowest_terms,
+    _make_ambient_normalized,
     _norm_is_2,
     _order_key,
     _reflect,
@@ -333,6 +334,44 @@ def test_components_examples():
     assert components(RootSet.of(AmbientSpace(2), [])) == []
 
 
+def random_signed_permute(phi, rng):
+    dim = phi.space.dim
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    return signed_permute(phi, perm, [rng.choice((1, -1)) for _ in range(dim)])
+
+
+def components_full_scan(s):
+    """The parts of graph_of(s), each as its sorted root indices, in the
+    order of their smallest index: a breadth-first search that pops every
+    root it reaches."""
+    roots = s.roots
+    unvisited = set(range(len(roots)))
+    parts = []
+    while unvisited:
+        seed = min(unvisited)
+        unvisited.discard(seed)
+        stack, part = [seed], [seed]
+        while stack:
+            u = stack.pop()
+            hit = [v for v in unvisited if roots[u].dot(roots[v]) != 0]
+            unvisited.difference_update(hit)
+            stack.extend(hit)
+            part.extend(hit)
+        parts.append(sorted(part))
+    return parts
+
+
+def test_components_match_the_full_scan_reference():
+    rng = random.Random(31)
+    for labels in (["A2", "D4", "E6"], ["D5", "A3", "A3"], ["E6", "A2"]):
+        for _ in range(3):
+            phi = random_signed_permute(direct_sum(labels), rng)
+            got = [[r.key for r in part] for part in components(phi)]
+            assert got == [[phi.roots[i].key for i in part] for part in components_full_scan(phi)]
+            assert len(got) == len(labels)
+
+
 def test_is_obtuse_examples():
     assert is_obtuse(rs([1, -1, 0], [0, 1, -1]))
     assert not is_obtuse(rs([1, -1, 0], [-1, 1, 0]))  # dependent
@@ -472,7 +511,7 @@ def combination_key(s: list[Root], coeffs: list[int]):
             f = c * (den // r.den)
             for k, v in enumerate(r.nums):
                 acc[k] += f * v
-    return _make_ambient(space, tuple(acc), den).key
+    return _lowest_terms(tuple(acc), den)
 
 
 def assert_closure_matches_oracle(seed):
@@ -565,6 +604,26 @@ def test_closure_matches_all_pairs_on_special_seeds():
     fs = FormSpace([[2, -1], [-1, 2]])
     x, y = lattice_root(fs, [1, 0]), lattice_root(fs, [0, 1])
     assert len(assert_closure_matches_oracle(RootSet.of(fs, [x, -x, y, x, -y]))) == 6
+
+
+def test_closure_builds_each_ambient_root_once(monkeypatch):
+    # reflections are looked up by key, so only a new root and its negation
+    # are ever built
+    rng = random.Random(41)
+    built = []
+
+    def counting(space, nums, den):
+        built.append(nums)
+        return _make_ambient_normalized(space, nums, den)
+
+    for label in ("A8", "D8", "E8"):
+        phi = random_signed_permute(gen(label), rng)
+        base = find_base(phi)
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(laced.roots, "_make_ambient_normalized", counting)
+            assert closure(base) == phi
+        assert 0 < len(built) <= len(phi), label
 
 
 NORM_8_SEED = (
@@ -833,6 +892,26 @@ def test_isometry_from_intrinsic_form():
     assert {iso.apply(r) for r in phi} == set(gen("A2"))
 
 
+def test_isometry_check_rejects_a_tampered_map(monkeypatch):
+    rng = random.Random(43)
+    omega = random_signed_permute(gen("D5"), rng)
+    t, iso = isometry_to_canonical(omega)
+    assert {iso.apply(r).key for r in omega} == gen(t).keys()
+    target = laced.roots._target
+
+    def tampered(t):
+        # one entry of Y G^-1 off by one: the map still sends the Gram
+        # matrices' check through, and the root-by-root check must catch it
+        cached = target(t)
+        dual = [list(row) for row in cached.dual]
+        dual[0][0] += 1
+        return cached._replace(dual=tuple(map(tuple, dual)))
+
+    monkeypatch.setattr(laced.roots, "_target", tampered)
+    with pytest.raises(InvariantError, match="^mapped root system does not equal the canonical model$"):
+        isometry_to_canonical(omega)
+
+
 def test_isometry_preserves_gram_and_fixes_span():
     rng = random.Random(17)
     omega = gen("D4")
@@ -1062,6 +1141,83 @@ def test_integral_dot_matches_the_rational_inner_product():
     for x in vecs + exact:
         assert _norm_is_2(x) == (x.norm2() == 2)
     assert 0 < sum(map(_norm_is_2, vecs + exact)) < len(vecs + exact)
+
+
+def root_set_message(vectors):
+    """What RootSet.of(validate=True) says of these norm-2 vectors, by a
+    plain loop over the pairs of first occurrences in input order: the
+    message naming the first non-integral pair, or None."""
+    first = {}
+    for i, r in enumerate(vectors):
+        first.setdefault(r.key, i)
+    positions = sorted(first.values())
+    for a, i in enumerate(positions):
+        for j in positions[a + 1 :]:
+            ip = vectors[i].dot(vectors[j])
+            if ip.denominator != 1:
+                return f"vectors {i} and {j} have non-integer inner product {ip}"
+    return None
+
+
+def assert_integrality_matches_all_pairs(space, vectors):
+    """RootSet.of and the CLI reader refuse exactly what the all-pairs
+    references refuse, naming the same first pair in the same message; the
+    lattice-basis test alone says whether there is one.  Returns whether the
+    vectors were refused."""
+    want = root_set_message(vectors)
+    if want is None:
+        RootSet.of(space, vectors)
+    else:
+        with pytest.raises(ValueError) as got:
+            RootSet.of(space, vectors)
+        assert str(got.value) == want
+    lcm = math.lcm(*(r.den for r in vectors))
+    scaled = [[a * (lcm // r.den) for a in r.nums] for r in vectors]
+    assert (lcm == 1 or lattice_gram_divisible(scaled, lcm * lcm)) == (want is None)
+    text = "".join(" ".join(map(str, r.coords)) + "\n" for r in vectors)
+    try:
+        ref = ratref.root_set_from_text(text)
+    except ValueError as e:
+        assert want is not None
+        with pytest.raises(ValueError) as got:
+            root_set_from_text(text)
+        assert str(got.value) == str(e)
+    else:
+        assert want is None
+        assert root_set_from_text(text).keys() == ref.keys()
+    return want is not None
+
+
+def test_integrality_on_random_norm_2_sets_matches_all_pairs():
+    rng = random.Random(17)
+    space = AmbientSpace(5)
+    pools = {den: norm_2_vectors(rng, space, den, 12) for den in range(1, 7)}
+    refused = []
+    for _ in range(400):
+        dens = rng.sample(range(1, 7), rng.choice((1, 1, 2)))
+        vectors = [rng.choice(pools[rng.choice(dens)]) for _ in range(rng.randint(2, 9))]
+        vectors += [-v for v in rng.sample(vectors, rng.randint(0, 2))]
+        rng.shuffle(vectors)
+        refused.append(assert_integrality_matches_all_pairs(space, vectors))
+    assert 0 < sum(refused) < len(refused)
+
+
+def test_integrality_on_exceptional_root_lists_matches_all_pairs():
+    # full E6, E7, E8 lists pass; one non-integral vector inserted anywhere
+    # is named with the first root it meets non-integrally
+    rng = random.Random(19)
+    space = AmbientSpace(8)
+    bad = ambient_root(space, [Q(4, 3), Q(1, 3), Q(1, 3), 0, 0, 0, 0, 0])
+    assert bad.norm2() == 2
+    for label in ("E6", "E7", "E8"):
+        for _ in range(3):
+            vectors = list(random_signed_permute(gen(label), rng))
+            rng.shuffle(vectors)
+            assert not assert_integrality_matches_all_pairs(space, vectors)
+            for _ in range(3):
+                tampered = list(vectors)
+                tampered.insert(rng.randrange(len(tampered) + 1), bad)
+                assert assert_integrality_matches_all_pairs(space, tampered)
 
 
 def test_integer_order_equals_the_sort_key_order():
