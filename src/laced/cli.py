@@ -10,8 +10,10 @@ integer work.  All output is deterministic; rationals serialize as "p/q" (or
 "p"), never as floating point.
 
 Exit codes: 0 success, 1 domain error (e.g. least eigenvalue below -2,
-vectors of the wrong norm), 2 parse or usage error, 3 internal error (a
-failed invariant check: a bug, not bad input).
+vectors of the wrong norm), 2 parse or usage error (an unreadable or
+non-UTF-8 input file among them), 3 internal error (a failed invariant
+check, or any other unexpected exception, named by its type: a bug, not bad
+input).
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ from .roots import (
     AmbientSpace,
     Root,
     RootSet,
-    _analyze,
+    _analyses,
     _first_nonintegral_pair,
     _make_ambient_normalized,
     _norm_is_2,
     _scaled,
     closure,
-    components,
     find_base,
     gen,
     graph_of,
@@ -150,6 +151,8 @@ def _read_input(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: {e}")
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -196,18 +199,16 @@ def _cmd_base(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     s = root_set_from_text(_read_input(args.input))
-    phi = closure(s)
     entries = []
-    for comp in components(phi):
-        a = _analyze(comp, isometry=args.isometry)
+    for a in _analyses(closure(s)):
         entry = {
             "type": a.type.label,
             "rank": len(a.base),
-            "root_count": len(comp),
+            "root_count": len(a.roots),
             "base": [[str(x) for x in r.coords] for r in a.base],
         }
         if args.isometry:
-            entry["isometry"] = [[str(x) for x in row] for row in a.isometry.matrix]
+            entry["isometry"] = [[str(x) for x in row] for row in a.isometry().matrix]
         if args.diagram:
             entry["diagram"] = _dot_diagram(a.base, f"base_{len(entries) + 1}")
         entries.append(entry)
@@ -344,6 +345,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

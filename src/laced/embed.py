@@ -23,7 +23,7 @@ from .roots import (
     DynkinType,
     FormSpace,
     RootSet,
-    _analyze,
+    _irreducible,
     _unit_roots,
     closure,
     gen,
@@ -80,8 +80,8 @@ def embed(g: SignedGraph) -> EmbeddingCertificate:
     phi = closure(seed)
     # phi is irreducible: the generators are connected, and a root system
     # split into orthogonal parts puts each connected set in one part
-    analysis = _analyze(phi, isometry=True)
-    intrinsic, iso = analysis.type, analysis.isometry
+    analysis = _irreducible(phi)
+    intrinsic, iso = analysis.type, analysis.isometry()
     ambient = _ambient_type(intrinsic)
     vectors = tuple(iso.apply(v).coords for v in generators)
     cert = EmbeddingCertificate(

@@ -582,31 +582,11 @@ def graph_of(s: Union[RootSet, Sequence[Root]]) -> SignedGraph:
 
 
 def components(s: RootSet) -> list[RootSet]:
-    """Connected components of graph_of(s), as sub-root-sets."""
-    roots = s.roots
-    n = len(roots)
-    if n == 0:
-        return []
-    unvisited = set(range(n))
-    parts: list[list[Root]] = []
-    while unvisited:
-        seed = min(unvisited)
-        unvisited.discard(seed)
-        stack = [seed]
-        part = [seed]
-        while stack and unvisited:
-            u = stack.pop()
-            hit = [v for v in unvisited if _idot(roots[u], roots[v]) != 0]
-            for v in hit:
-                unvisited.discard(v)
-                stack.append(v)
-            part.extend(hit)
-        parts.append(sorted(part))
-    flag = True if s._flag is True else None
-    return [
-        RootSet._assembled(s.space, [roots[i] for i in part], flag=flag)
-        for part in parts
-    ]
+    """Connected components of graph_of(s), as sub-root-sets, in the order
+    of their first roots: the parts that base growth captures (see _bases).
+    s must be validated: a validate=False set that holds a vector of squared
+    norm >= 3 meets the orbit's range check and raises InvariantError."""
+    return [part for part, _ in _bases(s)]
 
 
 def is_root_system(s: RootSet) -> bool:
@@ -721,43 +701,52 @@ def _require_root_system(s: RootSet) -> None:
 
 
 class _Analysis(NamedTuple):
-    """What one pass over an irreducible root system yields."""
+    """One component of a checked root system, as the one walk finds it."""
 
+    roots: RootSet
     base: tuple[Root, ...]  # sorted by Root.sort_key
     type: DynkinType
-    isometry: Optional[Isometry]  # built only on request
+
+    def isometry(self) -> Isometry:
+        """The map onto gen(type) built from this base."""
+        return _isometry(self.roots, self.base, self.type)
 
 
-def _analyze(comp: RootSet, isometry: bool = False) -> _Analysis:
-    """The one analysis of a checked irreducible root system.
+def _analyses(phi: RootSet) -> list[_Analysis]:
+    """The one pass over a checked root system: each component with its
+    base and the type read off that base's Dynkin graph.  find_base,
+    classify, isometry_to_canonical, embed and the CLI's classify are views
+    of it."""
+    return [_Analysis(part, tuple(sorted(base, key=_order_key(base))), _base_type(base)) for part, base in _bases(phi)]
 
-    Extracts a base once, reads the type off that base's Dynkin graph and,
-    only when asked, builds the isometry onto gen(type) from the same base.
-    find_base, classify and isometry_to_canonical are views of it.
-    """
-    base = _component_base(comp)
-    t = _base_type(base)
-    iso = _isometry(comp, base, t) if isometry else None
-    return _Analysis(tuple(sorted(base, key=_order_key(base))), t, iso)
+
+def _irreducible(phi: RootSet) -> _Analysis:
+    """The analysis of a root system that is irreducible by construction;
+    base growth finding any other number of components is a bug."""
+    analyses = _analyses(phi)
+    if len(analyses) != 1:
+        raise InvariantError(f"expected one component, base growth found {len(analyses)}")
+    return analyses[0]
 
 
 def find_base(phi: RootSet) -> RootSet:
     """A base of the root system: obtuse, one indecomposable piece per
     component, generating phi over the integers (so closure(base) == phi)."""
     _require_root_system(phi)
-    out = [r for comp in components(phi) for r in _analyze(comp).base]
+    out = [r for a in _analyses(phi) for r in a.base]
     return RootSet._assembled(phi.space, sorted(out, key=_order_key(out)))
 
 
-def _component_base(comp: RootSet) -> list[Root]:
-    """Base of one irreducible component, by lattice growth.
+def _bases(s: RootSet) -> Iterator[tuple[RootSet, list[Root]]]:
+    """Each component of graph_of(s) with a base of the lattice its roots
+    generate, by lattice growth in one walk over the sorted roots.
 
-    Maintain an indecomposable obtuse set S.  While some root lies outside
-    the lattice of S, descend from an attachable outside root to the deepest
-    root q still meeting S negatively, and read the step off the Dynkin
-    shape of U = S + [q] (see _grown): a finite shape is kept whole, an
-    affine one drops a marks-1 vertex.  Every step strictly enlarges the set
-    of roots captured by the lattice.
+    Start an indecomposable obtuse set S at the first root not yet in a
+    component.  While some root of s outside the lattice of S meets S,
+    descend from it to the deepest root q still meeting S negatively, and
+    read the step off the Dynkin shape of U = S + [q] (see _grown): a
+    finite shape is kept whole, an affine one drops a marks-1 vertex.  Every
+    step captures the root it descended from.
 
     The roots in the lattice Z·S are the orbit W(S)·S.  Z·S is an even
     lattice generated by norm-2 vectors, hence a sum of ADE root lattices,
@@ -766,25 +755,29 @@ def _component_base(comp: RootSet) -> list[Root]:
     keeps Gram(S) nonsingular.  One orbit serves the whole search: each step
     adds the new root q to it, since Z·(S + q) is the next lattice, and an
     affine exchange of v leaves the lattice as it is, Z·(U - v) = Z·U.
+
+    Once every root of s outside Z·S is orthogonal to S, the roots of s in
+    Z·S are one component: Z·S is generated by roots of s joined to the
+    first one, and a root in Z·S orthogonal to S would have norm 0.
     """
-    roots = list(comp.roots)
-    total = len(roots)
-    s = [roots[0]]
-    lattice = _Orbit(comp.space)
-    lattice.add(roots[0])
-    member_keys = lattice.known
-    captured = -1
-    for _ in range(4 * total + 16):
-        if len(member_keys) == total:
-            return s
-        if len(member_keys) <= captured:
-            raise InvariantError("base search stopped making progress")
-        captured = len(member_keys)
-        p = _attachable_outside(s, roots, member_keys)
-        q = _deepest_descent(s, p)
-        lattice.add(q)
-        s = _grown(s + [q])
-    raise InvariantError("base search failed to converge")
+    flag = True if s._flag is True else None
+    rest = s.roots
+    while rest:
+        base = [rest[0]]
+        lattice = _Orbit(s.space)
+        lattice.add(rest[0])
+        known = lattice.known
+        while (p := _attachable_outside(base, rest, known)) is not None:
+            q = _deepest_descent(base, p)
+            lattice.add(q)
+            if p.key not in known:
+                raise InvariantError("base search stopped making progress")
+            base = _grown(base + [q])
+        part = [r for r in rest if r.key in known]
+        if flag and len(part) != len(known):
+            raise InvariantError("base growth left the root system")
+        rest = [r for r in rest if r.key not in known]
+        yield RootSet._assembled(s.space, part, flag=flag), base
 
 
 def _grown(u: list[Root]) -> list[Root]:
@@ -817,9 +810,9 @@ def _grown(u: list[Root]) -> list[Root]:
     raise InvariantError(f"extended set classified as {st.label}")
 
 
-def _attachable_outside(s: list[Root], roots: list[Root], member_keys: Container) -> Root:
+def _attachable_outside(s: list[Root], roots: Sequence[Root], member_keys: Container) -> Optional[Root]:
     """A root outside Z(S) meeting some element of S negatively (negating if
-    needed); exists because the component is irreducible.  member_keys holds
+    needed), or None when every one is orthogonal to S.  member_keys holds
     the keys of the roots in Z(S)."""
     for r in roots:
         if r.key in member_keys:
@@ -830,7 +823,7 @@ def _attachable_outside(s: list[Root], roots: list[Root], member_keys: Container
                 return r
             if t > 0:
                 return -r
-    raise InvariantError("no attachable root outside the lattice of S")
+    return None
 
 
 def _deepest_descent(s: list[Root], p: Root) -> Root:
@@ -885,7 +878,7 @@ def classify(phi: RootSet) -> Union[DynkinType, ReducibleType]:
     """Type of a root system: a DynkinType when irreducible, otherwise the
     multiset of component types."""
     _require_root_system(phi)
-    types = sorted(_analyze(c).type for c in components(phi))
+    types = sorted(a.type for a in _analyses(phi))
     if len(types) == 1:
         return types[0]
     return ReducibleType(tuple(types))
@@ -990,7 +983,7 @@ _TARGETS: dict[DynkinType, _Target] = {}
 def _target(t: DynkinType) -> _Target:
     cached = _TARGETS.get(t)
     if cached is None:
-        y = _canonical_base_order(_component_base(gen(t)))
+        y = _canonical_base_order(_irreducible(gen(t)).base)
         gram = [[_idot(a, b) for b in y] for a in y]
         cached = _TARGETS[t] = _Target(y, gram, *_dual_rows(y))
     return cached
@@ -1036,10 +1029,10 @@ def isometry_to_canonical(omega: RootSet) -> tuple[DynkinType, Isometry]:
     """Type of an irreducible root system plus an exact Gram-preserving map
     carrying it onto the canonical model gen(type), checked root by root."""
     _require_root_system(omega)
-    if len(components(omega)) != 1:
+    analyses = _analyses(omega)
+    if len(analyses) != 1:
         raise ValueError("isometry requires an irreducible root system")
-    a = _analyze(omega, isometry=True)
-    return a.type, a.isometry
+    return analyses[0].type, analyses[0].isometry()
 
 
 def _isometry(omega: RootSet, base: Sequence[Root], t: DynkinType) -> Isometry:

@@ -101,7 +101,7 @@ def test_vector_files_read_as_the_fraction_path():
         "8/6 2/6 2/6  # not in lowest terms\n1 -1 0\n",
         "0.5 5e-1 -0.5 -5e-1 +1 -0\n+1 -1 0 -0 0 0\n",
     ]
-    assert len(GOLDEN_VECTORS) == 2
+    assert len(GOLDEN_VECTORS) == 3
     for text in texts:
         assert assert_reads_as_the_fraction_path(text) is None, text
 
@@ -355,6 +355,17 @@ def test_missing_file_is_parse_error(capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_file_is_parse_error(capsys, tmp_path):
+    for cmd, name in [("classify", "bad.vec"), ("embed", "bad.sg")]:
+        f = tmp_path / name
+        f.write_bytes(b"1 -1\n\xff\n")
+        code, out, err = run_cli(capsys, cmd, str(f))
+        assert code == 2, cmd
+        assert out == ""
+        assert err.startswith(f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_usage_error_exits_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -421,16 +432,17 @@ def test_classify_extracts_one_base_per_component(capsys, monkeypatch):
     f = str(GOLDEN / "a2_d4_e6_roots.vec")  # three components
     assert main(["classify", f, "--isometry"]) == 0  # warms the canonical-base cache
     calls = []
-    inner = laced.roots._component_base
+    inner = laced.roots._bases
 
-    def counted(comp):
-        calls.append(len(comp))
-        return inner(comp)
+    def counted(s):
+        parts = list(inner(s))
+        calls.append([len(part) for part, _ in parts])
+        return iter(parts)
 
-    monkeypatch.setattr(laced.roots, "_component_base", counted)
+    monkeypatch.setattr(laced.roots, "_bases", counted)
     assert main(["classify", f, "--isometry"]) == 0
     capsys.readouterr()
-    assert sorted(calls) == [6, 24, 72]
+    assert calls == [[72, 6, 24]]  # E6, A2, D4: the golden output's order
 
 
 def test_embed_verifies_the_certificate_once(capsys, monkeypatch, tmp_path):
@@ -467,6 +479,23 @@ def test_internal_error_exits_3(capsys, monkeypatch, tmp_path):
     assert code == 3
     assert out == ""
     assert err == "error: internal error: certificate failed verification\n"
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch, tmp_path):
+    # any exception other than a domain, parse or invariant error is a bug,
+    # so it must not exit 1, the domain-error code, or end in a traceback
+    import laced.cli
+
+    def broken(s):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(laced.cli, "closure", broken)
+    vec = tmp_path / "a2.vec"
+    vec.write_text("1 -1 0\n0 1 -1\n")
+    code, out, err = run_cli(capsys, "classify", str(vec))
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal error: KeyError: 'lost'\n"
 
 
 def _run_python(flags, argv, repo, cwd):

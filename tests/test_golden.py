@@ -5,10 +5,13 @@ compare against fixed bytes, so a refactor that changes any output byte
 fails here.  Inputs and expected outputs live in tests/golden/, and
 tests/golden/cases.txt lists the command lines run on them: a reducible
 A2+D4+E6 under a signed permutation of all 15 coordinates (given as its full
-root list and as a base), the README triangle, L(K6) relabelled and
-switched, and two graphs whose pivot generators span a sublattice of index 2
-(the form's denominator D is 2): K_{1,4} with the centre last, and L(K7)
-relabelled and switched.
+root list and as a base), a shuffled seed of A1+A1+A3+D4+E7 (a base and
+four more roots, not closed) under a signed permutation of all 20
+coordinates, whose components interleave in sorted order and so pin their
+output order, the README triangle, L(K6) relabelled and switched, and two
+graphs whose pivot generators span a sublattice of index 2 (the form's
+denominator D is 2): K_{1,4} with the centre last, and L(K7) relabelled and
+switched.
 """
 
 from pathlib import Path

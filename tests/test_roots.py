@@ -22,7 +22,7 @@ from laced.roots import (
     ReducibleType,
     Root,
     RootSet,
-    _component_base,
+    _bases,
     _dual_rows,
     _idot,
     _integral_dot,
@@ -362,14 +362,38 @@ def components_full_scan(s):
     return parts
 
 
+def assert_components_match_the_full_scan(s):
+    got = [[r.key for r in part] for part in components(s)]
+    assert got == [[s.roots[i].key for i in part] for part in components_full_scan(s)]
+    return len(got)
+
+
 def test_components_match_the_full_scan_reference():
+    """components reads each part off base growth; the reference is a
+    breadth-first search over all pairs.  Inputs: signed-permuted direct
+    sums, random validated subsets of them that are not closed (so a part
+    is a connected piece of the subset, not of its closure), closures of
+    random graph forms, random subsets of their generators, and the empty
+    set."""
     rng = random.Random(31)
-    for labels in (["A2", "D4", "E6"], ["D5", "A3", "A3"], ["E6", "A2"]):
+    subsets = 0
+    for labels in (["A2", "D4", "E6"], ["D5", "A3", "A3"], ["E6", "A2"], ["E7", "A1"]):
         for _ in range(3):
             phi = random_signed_permute(direct_sum(labels), rng)
-            got = [[r.key for r in part] for part in components(phi)]
-            assert got == [[phi.roots[i].key for i in part] for part in components_full_scan(phi)]
-            assert len(got) == len(labels)
+            assert assert_components_match_the_full_scan(phi) == len(labels)
+            for _ in range(10):
+                picked = rng.sample(phi.roots, rng.randint(1, 16))
+                s = RootSet.of(phi.space, [r if rng.random() < 0.5 else -r for r in picked])
+                subsets += not is_root_system(s)
+                assert_components_match_the_full_scan(s)
+    assert subsets >= 100
+    for rows in random_semidefinite_graphs(rng, 20):
+        fs = FormSpace(rows)
+        assert assert_components_match_the_full_scan(intrinsic_closure(rows)) == 1
+        units = _unit_roots(fs)
+        for _ in range(3):
+            assert_components_match_the_full_scan(RootSet.of(fs, rng.sample(units, rng.randint(1, len(units)))))
+    assert components(RootSet.of(AmbientSpace(2), [])) == components_full_scan(RootSet.of(AmbientSpace(2), [])) == []
 
 
 def test_is_obtuse_examples():
@@ -689,15 +713,22 @@ def test_is_root_system_matches_the_all_pairs_closure():
         is_root_system(odd)
 
 
+def grown_base(phi):
+    """The base that base growth finds for an irreducible root system."""
+    ((_, base),) = _bases(phi)
+    return base
+
+
 def assert_base_growth_reads_the_lattice(monkeypatch, comp):
-    """At every base-growth step the member set _component_base reads is the
+    """At every base-growth step the member set _bases reads is the
     set of component roots in the lattice of S, by the reference membership
     test, and the lattice of the base it returns holds every root.
 
     Every extended set U = S + [q] is classified finite exactly when its
     Gram matrix has full rank, and then kept whole; an affine U carries the
     reference kernel vector as its marks and loses one marks-1 root.
-    Returns the number of steps and the set of shape kinds seen."""
+    Returns the number of lattice reads (one per step, and the last, which
+    finds no root to attach) and the set of shape kinds seen."""
     calls = []
     grown = []
     shapes = []
@@ -723,7 +754,7 @@ def assert_base_growth_reads_the_lattice(monkeypatch, comp):
         m.setattr(laced.roots, "_attachable_outside", recording)
         m.setattr(laced.roots, "_grown", growing)
         m.setattr(laced.roots, "smith_classify", classifying)
-        base = _component_base(comp)
+        base = grown_base(comp)
     assert len(shapes) == len(grown)
     for (u, out), st in zip(grown, shapes):
         gram = RatMatrix([[a.dot(b) for b in u] for a in u])
@@ -764,6 +795,30 @@ def test_base_growth_membership_matches_the_lattice_reference(monkeypatch):
     results = [assert_base_growth_reads_the_lattice(monkeypatch, comp) for comp in comps]
     assert max(steps for steps, _ in results) >= 8
     assert set().union(*(shapes for _, shapes in results)) == {"finite", "affine"}
+
+
+def test_base_growth_that_leaves_a_checked_root_system_is_an_invariant_error():
+    # a set flagged as a root system that lacks one +- pair of A2: the orbit
+    # of its base holds roots outside it, which only a bug can bring about
+    a2 = gen("A2")
+    missing = a2.roots[0]
+    flagged = RootSet._assembled(a2.space, [r for r in a2 if r not in (missing, -missing)], flag=True)
+    with pytest.raises(InvariantError, match="^base growth left the root system$"):
+        classify(flagged)
+    # unflagged, the same set is one connected part
+    assert len(components(RootSet.of(a2.space, flagged.roots))) == 1
+
+
+def test_irreducible_by_construction_is_an_invariant_error_otherwise(monkeypatch):
+    """embed and the canonical target expect base growth to find one
+    component; any other count is a bug, not a domain error."""
+    inner = laced.roots._bases
+    monkeypatch.setattr(laced.roots, "_bases", lambda s: iter(list(inner(s)) * 2))
+    with pytest.raises(InvariantError, match="^expected one component, base growth found 2$"):
+        embed(SignedGraph(2, [(0, 1, 1)]))
+    monkeypatch.setattr(laced.roots, "_TARGETS", {})
+    with pytest.raises(InvariantError, match="^expected one component, base growth found 2$"):
+        _target(DynkinType("A", 3))
 
 
 def test_base_growth_step_rejects_a_set_without_a_dynkin_shape():
@@ -861,6 +916,73 @@ def test_classify_invariant_under_own_isometry():
         t, iso = isometry_to_canonical(omega)
         image = RootSet.of(iso.codomain, [iso.apply(r) for r in omega], validate=False)
         assert classify(image) == t == classify(omega)
+
+
+def extended_base(label):
+    """A base of gen(label) and its lowest root: the one root whose inner
+    product with every base root is <= 0."""
+    phi = gen(label)
+    base = list(find_base(phi))
+    (lowest,) = [r for r in phi if all(r.dot(a) <= 0 for a in base)]
+    return base + [lowest]
+
+
+def dynkin_pieces(adj, vertices):
+    """The connected pieces of the graph adj induced on vertices, each as
+    its sorted vertices."""
+    left = set(vertices)
+    pieces = []
+    while left:
+        stack = [min(left)]
+        left.discard(stack[0])
+        piece = []
+        while stack:
+            u = stack.pop()
+            piece.append(u)
+            hit = adj[u] & left
+            left -= hit
+            stack.extend(hit)
+        pieces.append(sorted(piece))
+    return pieces
+
+
+def root_count(t):
+    if t.family == "A":
+        return t.rank * (t.rank + 1)
+    if t.family == "D":
+        return 2 * t.rank * (t.rank - 1)
+    return {6: 72, 7: 126, 8: 240}[t.rank]
+
+
+def test_proper_subsets_of_the_extended_base_classify_by_their_pieces():
+    """Borel-de Siebenthal: a nonempty proper subset of an extended base is
+    a base of the root system it generates, so that system's components
+    and types are the connected pieces of the subset's Dynkin graph, as
+    smith_classify reads them.  Every such subset, for A1-A10, D4-D10 and
+    E6-E8."""
+    labels = [f"A{n}" for n in range(1, 11)] + [f"D{n}" for n in range(4, 11)] + ["E6", "E7", "E8"]
+    for label in labels:
+        ext = extended_base(label)
+        n = len(ext)
+        adj = [{j for j in range(n) if j != i and ext[i].dot(ext[j])} for i in range(n)]
+        piece_types = {}
+        for size in range(1, n):
+            for subset in itertools.combinations(range(n), size):
+                types = []
+                for piece in dynkin_pieces(adj, subset):
+                    key = tuple(piece)
+                    if key not in piece_types:
+                        k = len(piece)
+                        pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if piece[j] in adj[piece[i]]]
+                        st = smith_classify(SignedGraph.unsigned(k, pairs))
+                        assert st.kind == "finite", (label, piece)
+                        piece_types[key] = DynkinType(st.family, st.rank)
+                    types.append(piece_types[key])
+                phi = closure(RootSet.of(ext[0].space, [ext[i] for i in subset]))
+                want = types[0] if len(types) == 1 else ReducibleType(tuple(types))
+                assert classify(phi) == want, (label, subset)
+                assert len(components(phi)) == len(types), (label, subset)
+                assert len(phi) == sum(map(root_count, types)), (label, subset)
 
 
 # --- isometries -----------------------------------------------------------------
@@ -988,10 +1110,14 @@ def test_isometry_apply_matches_the_rational_matrix(monkeypatch):
     assert [(r.nums, r.dvec, r.key) for r in units] == [(r.nums, r.dvec, r.key) for r in want]
 
 
-def test_isometry_rejects_reducible():
+def test_isometry_rejects_reducible(monkeypatch):
+    # before any isometry is built
     two = rs([1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1])
-    with pytest.raises(ValueError):
+    built = []
+    monkeypatch.setattr(laced.roots, "_isometry", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="^isometry requires an irreducible root system$"):
         isometry_to_canonical(two)
+    assert built == []
 
 
 def test_signed_permute_validation():
@@ -1084,7 +1210,7 @@ def test_isometry_matrix_matches_the_fraction_formula():
     cases.append((closure(RootSet.of(space, seed)), closure(RootSet.of(reference, ratref.full_unit_roots(reference)))))
     for omega, ref in cases:
         t, iso = isometry_to_canonical(omega)
-        assert iso.matrix == isometry_matrix(ref, _component_base(ref), t), t
+        assert iso.matrix == isometry_matrix(ref, grown_base(ref), t), t
         assert iso.den > 0 and math.gcd(iso.den, *(v for row in iso.rows for v in row)) == 1
 
 
@@ -1267,7 +1393,7 @@ def test_pivot_roots_order_as_the_full_reference():
         phi = closure(RootSet.of(fs, _unit_roots(fs), validate=False))
         want = closure(RootSet.of(reference, ratref.full_unit_roots(reference), validate=False))
         assert [ratref.full_dvec(r) for r in phi] == [r.dvec for r in want]
-        base, want_base = _component_base(phi), _component_base(want)
+        base, want_base = grown_base(phi), grown_base(want)
         assert [ratref.full_dvec(r) for r in base] == [r.dvec for r in want_base]
         t, iso = isometry_to_canonical(phi)
         assert iso.matrix == isometry_matrix(want, want_base, t)
