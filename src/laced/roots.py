@@ -585,7 +585,8 @@ def components(s: RootSet) -> list[RootSet]:
     """Connected components of graph_of(s), as sub-root-sets, in the order
     of their first roots: the parts that base growth captures (see _bases).
     s must be validated: a validate=False set that holds a vector of squared
-    norm >= 3 meets the orbit's range check and raises InvariantError."""
+    norm >= 3 meets the orbit's range check and raises InvariantError.  Cost
+    grows with the roots of each part's lattice, all built even for a base."""
     return [part for part, _ in _bases(s)]
 
 

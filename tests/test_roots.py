@@ -727,8 +727,8 @@ def assert_base_growth_reads_the_lattice(monkeypatch, comp):
     Every extended set U = S + [q] is classified finite exactly when its
     Gram matrix has full rank, and then kept whole; an affine U carries the
     reference kernel vector as its marks and loses one marks-1 root.
-    Returns the number of lattice reads (one per step, and the last, which
-    finds no root to attach) and the set of shape kinds seen."""
+    Returns the number of growth steps (lattice reads that found a root to
+    attach) and the set of shape kinds seen."""
     calls = []
     grown = []
     shapes = []
@@ -771,7 +771,7 @@ def assert_base_growth_reads_the_lattice(monkeypatch, comp):
     for s, keys in calls:
         assert keys == lattice_members(s, roots)
     assert lattice_members(base, roots) == comp.keys()
-    return len(calls), {st.kind for st in shapes}
+    return len(grown), {st.kind for st in shapes}
 
 
 def test_base_growth_membership_matches_the_lattice_reference(monkeypatch):
