@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InvariantError
-from .exactlin import Definiteness, definiteness, symmetric_elimination
+from .exactlin import Definiteness, _eliminate
 from .roots import (
     DynkinType,
     FormSpace,
@@ -49,7 +49,8 @@ class EmbeddingCertificate:
 def check_least_eigenvalue(g: SignedGraph) -> Definiteness:
     """Exact trichotomy of A + 2I; Indefinite means the least eigenvalue of
     the signed adjacency lies below -2."""
-    return definiteness(shifted_gram_rows(g, 2))
+    # built from a validated graph: square, symmetric and integer already
+    return _eliminate(shifted_gram_rows(g, 2))[0]
 
 
 def _ambient_type(intrinsic: DynkinType) -> DynkinType:
@@ -70,8 +71,9 @@ def embed(g: SignedGraph) -> EmbeddingCertificate:
         raise ValueError("embedding requires a connected graph")
     rows = shifted_gram_rows(g, 2)
     # the one elimination of A + 2I decides definiteness and gives the
-    # pivot frame that the intrinsic roots are stored over
-    kind, frame = symmetric_elimination(rows)
+    # pivot frame that the intrinsic roots are stored over; rows built from
+    # a validated graph need none of symmetric_elimination's input checks
+    kind, frame = _eliminate(rows)
     if kind is Definiteness.INDEFINITE:
         raise ValueError(LEAST_EIGENVALUE_DIAGNOSTIC)
     space = FormSpace._trusted(tuple(map(tuple, rows)), frame)

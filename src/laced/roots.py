@@ -37,7 +37,7 @@ from typing import Callable, Collection, Container, Iterable, Iterator, NamedTup
 
 from .errors import InvariantError
 from .exactlin import Definiteness, Frame, _eliminate, _integer_rows, lattice_gram_divisible, symmetric_elimination
-from .spectra import SignedGraph, connected_without, smith_classify, walk_leg
+from .spectra import SignedGraph, connected_without, unsigned_shape, walk_leg
 
 Q = Fraction
 
@@ -574,11 +574,16 @@ def graph_of(s: Union[RootSet, Sequence[Root]]) -> SignedGraph:
     """Simple graph on the roots (a root set, or any sequence of roots in
     that order): edge iff the inner product is nonzero."""
     roots = tuple(s)
-    n = len(roots)
-    if n == 0:
+    if not roots:
         raise ValueError("graph of an empty root set")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if _idot(roots[i], roots[j])]
-    return SignedGraph.unsigned(n, pairs)
+    return SignedGraph.unsigned(len(roots), _edge_pairs(roots))
+
+
+def _edge_pairs(roots: Sequence[Root]) -> tuple[tuple[int, int], ...]:
+    """The pairs i < j, in sorted order, of roots with a nonzero inner
+    product."""
+    n = len(roots)
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n) if _idot(roots[i], roots[j]))
 
 
 def components(s: RootSet) -> list[RootSet]:
@@ -787,8 +792,9 @@ def _grown(u: list[Root]) -> list[Root]:
     U must be obtuse, so that Gram(U) is 2I - A for the unsigned graph of U.
     U is connected and its Gram matrix is positive semidefinite, so that
     graph is a finite Dynkin shape exactly when U is independent, and an
-    affine one otherwise; smith_classify decides which, and gives the marks.
-    Any other outcome is a bug, not bad input.
+    affine one otherwise; smith_classify, read through the shape memo
+    unsigned_shape, decides which, and gives the marks.  Any other outcome
+    is a bug, not bad input.
     """
     n = len(u)
     pairs = []
@@ -799,9 +805,8 @@ def _grown(u: list[Root]) -> list[Root]:
                 pairs.append((i, j))
             elif t:
                 raise InvariantError(f"extended set is not obtuse: <u{i}, u{j}> = {t}")
-    g = SignedGraph.unsigned(n, pairs)
     try:
-        st = smith_classify(g)
+        g, st = unsigned_shape(n, tuple(pairs))
     except ValueError as e:
         raise InvariantError(f"extended set has no Dynkin shape: {e}")
     if st.kind == "finite":
@@ -869,7 +874,7 @@ def _affine_exchange(u: list[Root], g: SignedGraph, alpha: tuple[int, ...]) -> l
 
 
 def _base_type(base: Sequence[Root]) -> DynkinType:
-    st = smith_classify(graph_of(base))
+    _, st = unsigned_shape(len(base), _edge_pairs(base))
     if st.kind != "finite":
         raise InvariantError(f"base graph classified as {st.label}")
     return DynkinType(st.family, st.rank)

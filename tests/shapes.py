@@ -1,5 +1,8 @@
 """Constructors for the finite and affine ADE graph shapes, used as test
-fixtures: paths, cycles and trees assembled from legs around a branch vertex."""
+fixtures: paths, cycles and trees assembled from legs around a branch vertex;
+and the line graphs L(K_n), relabelled and switched."""
+
+import itertools
 
 from laced.spectra import SignedGraph
 
@@ -58,3 +61,18 @@ def affine_shape(family: str, rank: int) -> SignedGraph:
     if family == "D":
         return star_graph(4) if rank == 4 else double_fork_graph(rank - 5)
     return {6: fork_graph(2, 2, 2), 7: fork_graph(1, 3, 3), 8: fork_graph(1, 2, 5)}[rank]
+
+
+def switched_line_graph_of_complete(rng, n: int) -> SignedGraph:
+    """L(K_n) with its vertices relabelled and switched at random.  Both keep
+    the spectrum, so for n >= 4 the least eigenvalue is -2 and the type is
+    D_n."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    signs = [rng.choice((1, -1)) for _ in pairs]
+    edges = [
+        (i, j, signs[i] * signs[j])
+        for i, j in itertools.combinations(range(len(pairs)), 2)
+        if set(pairs[i]) & set(pairs[j])
+    ]
+    return SignedGraph(len(pairs), edges)

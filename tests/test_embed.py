@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -11,9 +12,10 @@ from laced.embed import (
     verify_certificate,
 )
 from laced.exactlin import Definiteness
-from laced.roots import DynkinType
+from laced.roots import DynkinType, gen
 from laced.spectra import SignedGraph, is_connected, shifted_gram_rows
 from ratref import RatMatrix, kernel_basis, primitive_integer_vector, rank
+from shapes import switched_line_graph_of_complete
 
 PD = Definiteness.POSITIVE_DEFINITE
 PSD = Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR
@@ -150,6 +152,45 @@ def test_verify_rejects_bad_shapes():
     assert not verify_certificate(g, wrong_ambient)
     wrong_dim = EmbeddingCertificate(cert.intrinsic_type, DynkinType("D", 3), cert.vectors, 2)
     assert not verify_certificate(g, wrong_dim)
+
+
+def test_graphs_beyond_120_vertices_have_type_a_or_d():
+    """The roots of an embedding are distinct and no two are opposite, and
+    E8 has 120 pairs +-r, so an accepted graph on more than 120 vertices has
+    intrinsic type A or D.  L(K16) has 120 vertices and L(K17) has 136."""
+    rng = random.Random(120)
+    for k in (16, 17):
+        g = switched_line_graph_of_complete(rng, k)
+        assert g.n == k * (k - 1) // 2
+        cert = embed(g)
+        assert cert.intrinsic_type.family in "AD"
+        assert cert.intrinsic_type == cert.ambient_type == DynkinType("D", k)
+        assert verify_certificate(g, cert)
+
+
+def signed_graph_of_gram(vectors):
+    """The signed graph whose A + 2I is the Gram matrix of the vectors,
+    leaving out the pairs whose inner product no signed graph has."""
+    n = len(vectors)
+    edges = []
+    for i, j in itertools.combinations(range(n), 2):
+        t = sum(a * b for a, b in zip(vectors[i], vectors[j]))
+        if t in (1, -1):
+            edges.append((i, j, t))
+    return SignedGraph(n, edges)
+
+
+def test_verify_rejects_an_e8_certificate_with_more_than_120_vectors():
+    # one root of each pair +-r of E8 is a valid certificate of the graph its
+    # Gram matrix gives; a 121st root repeats or negates one of them, an
+    # inner product of +-2 that A + 2I of a signed graph never has
+    e8 = DynkinType("E", 8)
+    half = [r.coords for r in gen(e8) if r.coords > (-r).coords]
+    assert len(half) == 120
+    for extra in ([], [half[7]], [tuple(-x for x in half[7])]):
+        vectors = half + extra
+        cert = EmbeddingCertificate(e8, e8, tuple(vectors), 240)
+        assert verify_certificate(signed_graph_of_gram(vectors), cert) == (not extra)
 
 
 def test_ambient_type_is_never_a_or_e6_e7():

@@ -370,15 +370,17 @@ def test_kernel_vector_of_affine_exchange_grams(monkeypatch):
     import laced.roots
 
     met = []
-    classify_shape = laced.roots.smith_classify
+    read_shape = laced.roots.unsigned_shape
 
-    def recording(g):
-        st = classify_shape(g)
+    # recorded at the shape memo's entry point, which every growth step
+    # passes through, whether or not its graph was read before
+    def recording(n, pairs):
+        g, st = read_shape(n, pairs)
         if st.kind == "affine":
             met.append((g, st.marks))
-        return st
+        return g, st
 
-    monkeypatch.setattr(laced.roots, "smith_classify", recording)
+    monkeypatch.setattr(laced.roots, "unsigned_shape", recording)
     rng = random.Random(2008)
     labels = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 9)] + ["E6", "E7", "E8"]
     for label in labels:

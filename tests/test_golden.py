@@ -11,14 +11,16 @@ coordinates, whose components interleave in sorted order and so pin their
 output order, the README triangle, L(K6) relabelled and switched, and two
 graphs whose pivot generators span a sublattice of index 2 (the form's
 denominator D is 2): K_{1,4} with the centre last, and L(K7) relabelled and
-switched.
+switched.  Further cases pin smith on a finite, an affine and an "exceeds"
+graph, gen E8 and close on a base, so every subcommand has one.
 """
 
+import argparse
 from pathlib import Path
 
 import pytest
 
-from laced.cli import main, parse_graph_file
+from laced.cli import _parser, main, parse_graph_file
 from laced.exactlin import symmetric_elimination
 from laced.spectra import shifted_gram_rows
 from ratref import right_looking_elimination
@@ -38,6 +40,11 @@ def test_cli_stdout_matches_golden_bytes(capsys, monkeypatch, expected, argv):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / expected).read_text(encoding="utf-8")
+
+
+def test_every_subcommand_has_a_case():
+    (commands,) = [a.choices for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {case[1] for case in CASES} == set(commands)
 
 
 def test_every_golden_file_has_a_case():

@@ -59,6 +59,7 @@ from ratref import (
     signed_graph_of,
     solve,
 )
+from shapes import switched_line_graph_of_complete
 
 # Fixed simple system for E8: a path a1-a3-a4-...-a8 with a2 attached at a4,
 # verified below by closure against the canonical 240.
@@ -734,7 +735,7 @@ def assert_base_growth_reads_the_lattice(monkeypatch, comp):
     shapes = []
     attachable = laced.roots._attachable_outside
     grow = laced.roots._grown
-    classify_shape = laced.roots.smith_classify
+    read_shape = laced.roots.unsigned_shape
 
     def recording(s, roots, member_keys):
         calls.append((list(s), frozenset(member_keys)))  # the orbit grows on
@@ -745,18 +746,21 @@ def assert_base_growth_reads_the_lattice(monkeypatch, comp):
         grown.append((list(u), out))
         return out
 
-    def classifying(g):
-        st = classify_shape(g)
-        shapes.append(st)
-        return st
+    # every step's reading passes the shape memo's entry point, whether or
+    # not its graph was read before
+    def classifying(n, pairs):
+        g, st = read_shape(n, pairs)
+        shapes.append((g, st))
+        return g, st
 
     with monkeypatch.context() as m:
         m.setattr(laced.roots, "_attachable_outside", recording)
         m.setattr(laced.roots, "_grown", growing)
-        m.setattr(laced.roots, "smith_classify", classifying)
+        m.setattr(laced.roots, "unsigned_shape", classifying)
         base = grown_base(comp)
     assert len(shapes) == len(grown)
-    for (u, out), st in zip(grown, shapes):
+    for (u, out), (g, st) in zip(grown, shapes):
+        assert g == graph_of(u)
         gram = RatMatrix([[a.dot(b) for b in u] for a in u])
         assert (st.kind == "finite") == (rank(gram) == len(u))
         if st.kind == "finite":
@@ -771,7 +775,7 @@ def assert_base_growth_reads_the_lattice(monkeypatch, comp):
     for s, keys in calls:
         assert keys == lattice_members(s, roots)
     assert lattice_members(base, roots) == comp.keys()
-    return len(grown), {st.kind for st in shapes}
+    return len(grown), {st.kind for _, st in shapes}
 
 
 def test_base_growth_membership_matches_the_lattice_reference(monkeypatch):
@@ -1051,19 +1055,6 @@ def test_isometry_preserves_gram_and_fixes_span():
     qtq = m.transpose().mul(m)
     for x in roots:
         assert qtq.mul_vec(x.coords) == x.coords
-
-
-def switched_line_graph_of_complete(rng, n):
-    """L(K_n) with its vertices relabelled and switched at random."""
-    pairs = list(itertools.combinations(range(n), 2))
-    rng.shuffle(pairs)
-    signs = [rng.choice((1, -1)) for _ in pairs]
-    edges = [
-        (i, j, signs[i] * signs[j])
-        for i, j in itertools.combinations(range(len(pairs)), 2)
-        if set(pairs[i]) & set(pairs[j])
-    ]
-    return SignedGraph(len(pairs), edges)
 
 
 def test_isometry_apply_matches_the_rational_matrix(monkeypatch):

@@ -1,9 +1,16 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import laced.roots
+import laced.spectra
+from laced.cli import root_set_from_text
+from laced.embed import embed
 from laced.errors import InvariantError
 from laced.exactlin import Definiteness, definiteness
+from laced.roots import classify, closure, find_base, gen, isometry_to_canonical, signed_permute
 from laced.spectra import (
     SignedGraph,
     affine_marks,
@@ -11,9 +18,18 @@ from laced.spectra import (
     is_connected,
     smith_classify,
     two_i_minus_adjacency_rows,
+    unsigned_shape,
 )
 from ratref import adjacency
-from shapes import affine_shape, cycle_graph, finite_shape, fork_graph, path_graph, star_graph
+from shapes import (
+    affine_shape,
+    cycle_graph,
+    finite_shape,
+    fork_graph,
+    path_graph,
+    star_graph,
+    switched_line_graph_of_complete,
+)
 
 PD = Definiteness.POSITIVE_DEFINITE
 PSD = Definiteness.POSITIVE_SEMIDEFINITE_SINGULAR
@@ -189,11 +205,10 @@ def test_smith_classify_builds_the_neighbor_sets_once(monkeypatch):
 
 def test_smith_classify_runs_one_elimination(monkeypatch):
     # the definiteness cross-check and the affine marks share one elimination
-    # of 2I - A, built once
-    import laced.spectra
-
+    # of 2I - A, built once; rows built from the graph skip the input checks
+    # of symmetric_elimination and go straight to its eliminator
     calls = []
-    eliminate = laced.spectra.symmetric_elimination
+    eliminate = laced.spectra._eliminate
     build = laced.spectra.two_i_minus_adjacency_rows
 
     def counted(rows):
@@ -204,7 +219,7 @@ def test_smith_classify_runs_one_elimination(monkeypatch):
         calls.append("build")
         return build(g)
 
-    monkeypatch.setattr(laced.spectra, "symmetric_elimination", counted)
+    monkeypatch.setattr(laced.spectra, "_eliminate", counted)
     monkeypatch.setattr(laced.spectra, "two_i_minus_adjacency_rows", built)
     cases = [(finite_shape("E", 7), "finite"), (affine_shape("D", 6), "affine"), (star_graph(5), "exceeds")]
     for g, kind in cases:
@@ -216,11 +231,92 @@ def test_smith_classify_runs_one_elimination(monkeypatch):
 def test_shape_and_definiteness_disagreement_is_an_invariant_error(monkeypatch):
     # a recognizer that misreports the shape is caught by the elimination,
     # both ways round
-    import laced.spectra
-
     for g, claim in [(finite_shape("E", 7), ("affine", "E", 7)), (affine_shape("D", 6), ("finite", "D", 7))]:
         monkeypatch.setattr(laced.spectra, "_recognize", lambda g, adj, claim=claim: claim)
         with pytest.raises(InvariantError, match="disagreement"):
             smith_classify(g)
         with pytest.raises(InvariantError, match="disagreement"):
             affine_marks(g)
+
+
+# --- the shape memo ----------------------------------------------------------
+
+
+def shape_memo_batch():
+    """Embeds and classifies whose base growth meets finite and affine
+    shapes: each one's certificate, or its base, type and isometry as the
+    CLI prints them."""
+    rng = random.Random(15)
+    out = []
+    for k in (5, 6, 8):
+        cert = embed(switched_line_graph_of_complete(rng, k))
+        out.append((cert.intrinsic_type, cert.vectors))
+    for label in ("A4", "D5", "E6", "E7", "E8"):
+        phi = gen(label)
+        dim = phi.space.dim
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        omega = signed_permute(phi, perm, [rng.choice((1, -1)) for _ in range(dim)])
+        t, iso = isometry_to_canonical(omega)
+        out.append((tuple(find_base(omega)), t, [[str(x) for x in row] for row in iso.matrix]))
+    text = (Path(__file__).resolve().parent / "golden" / "a2_d4_e6_base.vec").read_text()
+    out.append(classify(closure(root_set_from_text(text))))
+    return out
+
+
+def test_shape_memo_entries_match_a_fresh_reading(monkeypatch):
+    unsigned_shape.cache_clear()
+    entries = {}
+
+    def recording(n, pairs):
+        entries[n, pairs] = unsigned_shape(n, pairs)
+        return entries[n, pairs]
+
+    monkeypatch.setattr(laced.roots, "unsigned_shape", recording)
+    shape_memo_batch()
+    assert unsigned_shape.cache_info().currsize == len(entries)
+    for (n, pairs), (g, st) in entries.items():
+        fresh = SignedGraph.unsigned(n, pairs)
+        assert g == fresh
+        assert st == smith_classify(fresh)
+    assert {st.kind for _, st in entries.values()} == {"finite", "affine"}
+
+
+def test_shape_memo_changes_no_result(monkeypatch):
+    def cold(n, pairs):
+        unsigned_shape.cache_clear()
+        return unsigned_shape(n, pairs)
+
+    with monkeypatch.context() as m:
+        m.setattr(laced.roots, "unsigned_shape", cold)
+        want = shape_memo_batch()
+    unsigned_shape.cache_clear()
+    assert shape_memo_batch() == want
+    assert unsigned_shape.cache_info().hits
+    assert shape_memo_batch() == want  # every reading warm
+
+
+def test_shape_memo_reads_each_graph_once(monkeypatch):
+    unsigned_shape.cache_clear()
+    read = Counter()
+    classify_shape = laced.spectra.smith_classify
+
+    def counted(g):
+        read[g] += 1
+        return classify_shape(g)
+
+    monkeypatch.setattr(laced.spectra, "smith_classify", counted)
+    shape_memo_batch()
+    shape_memo_batch()
+    assert read and set(read.values()) == {1}
+    info = unsigned_shape.cache_info()
+    assert info.misses == len(read) < info.hits
+    assert info.maxsize == laced.spectra._SHAPE_MEMO_SIZE
+    # a failed reading is not kept: a graph without a Dynkin shape is read,
+    # and raises, on every call
+    kept = info.currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not connected"):
+            unsigned_shape(2, ())
+    assert read[SignedGraph(2, [])] == 2
+    assert unsigned_shape.cache_info().currsize == kept
